@@ -5,7 +5,7 @@ on the default 61 x 101 grid and write CSV plus PGM for each backend."""
 import argparse
 from pathlib import Path
 
-from ptqsim.cli import RunConfig, build_backend, format_pgm, render_csv, render_heatmap
+from ptqsim.cli import RunConfig, build_backend, write_outputs
 from ptqsim.experiment import BackendKind, sweep
 
 
@@ -13,25 +13,22 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="out", help="directory for CSV/PGM files")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for kind in (BackendKind.THEORY, BackendKind.ION, BackendKind.TRANSMON):
-        cfg = RunConfig(backend=kind, seed=args.seed)
-        backend = build_backend(cfg)
-        points = sweep(cfg.grid, backend, workers=args.workers)
-        csv_path = outdir / f"{kind.value}.csv"
-        pgm_path = outdir / f"{kind.value}.pgm"
-        csv_path.write_text(render_csv(points, backend))
-        label = backend.confusion.label if backend.confusion is not None else "identity"
-        metadata = (
-            f"backend={kind.value} observable={cfg.observable.value}"
-            f" confusion={label} shots={backend.shots} seed={backend.seed}"
+        cfg = RunConfig(
+            backend=kind,
+            seed=args.seed,
+            output_csv=str(outdir / f"{kind.value}.csv"),
+            output_pgm=str(outdir / f"{kind.value}.pgm"),
         )
-        img = render_heatmap(cfg.grid, backend, cfg.observable, points)
-        pgm_path.write_text(format_pgm(img, metadata))
-        print(f"{kind.value}: {len(points)} points -> {csv_path}, {pgm_path}")
+        backend = build_backend(cfg)
+        points = sweep(cfg.grid, backend)
+        write_outputs(cfg, backend, points)
+        print(
+            f"{kind.value}: {len(points)} points -> {cfg.output_csv}, {cfg.output_pgm}"
+        )
 
 
 if __name__ == "__main__":

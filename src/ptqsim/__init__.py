@@ -62,12 +62,10 @@ from .gates import (
 )
 from .linalg import (
     Svd2,
-    apply,
     dist_up_to_global_phase,
     expm_taylor,
     is_unitary,
     ket,
-    mat_mul,
     populations,
     svd2,
 )

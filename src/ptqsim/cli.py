@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -13,17 +13,13 @@ import numpy as np
 
 from .dilation import DilationError, general_dilation
 from .experiment import (
-    DEFAULT_ION_DIAGONAL,
-    DEFAULT_ION_EPSILON,
-    DEFAULT_TRANSMON_DIAGONAL,
     BackendConfig,
     BackendKind,
-    ConfusionMatrix,
     ExperimentPoint,
     SweepGrid,
+    default_backend,
     load_confusion,
     sweep,
-    synthetic_confusion,
 )
 from .gates import (
     CircuitParseError,
@@ -63,12 +59,15 @@ class Observable(Enum):
 
 @dataclass
 class RunConfig:
+    """Run settings; a backend field left None takes the value of
+    `experiment.default_backend` for the chosen backend."""
+
     backend: BackendKind = BackendKind.THEORY
-    shots: int | None = None  # None: 512, or 8192 for the transmon backend
+    shots: int | None = None
     seed: int = 0
     grid: SweepGrid = field(default_factory=SweepGrid)
     observable: Observable = Observable.RETURN_PROB
-    ions: int = 5
+    ions: int | None = None
     epsilon: tuple[float, ...] | None = None
     confusion_file: str | None = None
     output_csv: str = "sweep.csv"
@@ -77,7 +76,7 @@ class RunConfig:
     def effective_shots(self) -> int:
         if self.shots is not None:
             return self.shots
-        return 8192 if self.backend is BackendKind.TRANSMON else 512
+        return default_backend(self.backend).shots
 
 
 _CONFIG_KEYS = frozenset(
@@ -193,38 +192,29 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _default_confusion(kind: BackendKind) -> ConfusionMatrix | None:
-    if kind is BackendKind.ION:
-        return synthetic_confusion(DEFAULT_ION_DIAGONAL, "synthetic-ion-0.97")
-    if kind is BackendKind.TRANSMON:
-        return synthetic_confusion(DEFAULT_TRANSMON_DIAGONAL, "synthetic-transmon-0.876")
-    return None
-
-
 def build_backend(cfg: RunConfig) -> BackendConfig:
-    """Resolve the backend; reads the confusion file when configured
-    (OSError propagates to the caller as an I/O failure)."""
+    """The default backend of the configured kind with the configured values
+    applied; reads the confusion file when configured (OSError propagates to
+    the caller as an I/O failure)."""
+    overrides = {
+        key: value
+        for key, value in (
+            ("shots", cfg.shots),
+            ("ion_count", cfg.ions),
+            ("epsilon", cfg.epsilon),
+        )
+        if value is not None
+    }
     if cfg.confusion_file is not None:
         text = Path(cfg.confusion_file).read_text()
         try:
-            confusion = load_confusion(text, label=Path(cfg.confusion_file).name)
+            overrides["confusion"] = load_confusion(
+                text, label=Path(cfg.confusion_file).name
+            )
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
-    else:
-        confusion = _default_confusion(cfg.backend)
-    if cfg.epsilon is not None:
-        epsilon = cfg.epsilon
-    else:
-        epsilon = DEFAULT_ION_EPSILON if cfg.backend is BackendKind.ION else ()
     try:
-        return BackendConfig(
-            kind=cfg.backend,
-            shots=cfg.effective_shots(),
-            confusion=confusion,
-            ion_count=cfg.ions,
-            epsilon=epsilon,
-            seed=cfg.seed,
-        )
+        return replace(default_backend(cfg.backend, cfg.seed), **overrides)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
@@ -320,6 +310,29 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def write_outputs(
+    cfg: RunConfig, backend: BackendConfig, points: list[ExperimentPoint]
+) -> None:
+    """Write the CSV and, when configured, the PGM heatmap with a `.mask`
+    sidecar listing its missing points; a mask left by an earlier run is
+    removed when no point is missing (OSError propagates to the caller)."""
+    _write_text(cfg.output_csv, render_csv(points, backend))
+    if cfg.output_pgm is None:
+        return
+    metadata = (
+        f"backend={backend.kind.value} observable={cfg.observable.value}"
+        f" confusion={_confusion_label(backend)} shots={backend.shots}"
+        f" seed={backend.seed} rows=r_max..r_min cols=t_min..t_max"
+    )
+    img = render_heatmap(cfg.grid, backend, cfg.observable, points)
+    _write_text(cfg.output_pgm, format_pgm(img, metadata))
+    mask_path = cfg.output_pgm + ".mask"
+    if img.missing:
+        _write_text(mask_path, "".join(f"{i_r} {i_t}\n" for i_r, i_t in img.missing))
+    else:
+        Path(mask_path).unlink(missing_ok=True)
+
+
 def run_command(args: argparse.Namespace) -> int:
     try:
         text = Path(args.config).read_text()
@@ -342,20 +355,9 @@ def run_command(args: argparse.Namespace) -> int:
         print(f"error: cannot read confusion file: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    points = sweep(cfg.grid, backend, workers=args.workers)
+    points = sweep(cfg.grid, backend)
     try:
-        _write_text(cfg.output_csv, render_csv(points, backend))
-        if cfg.output_pgm is not None:
-            metadata = (
-                f"backend={backend.kind.value} observable={cfg.observable.value}"
-                f" confusion={_confusion_label(backend)} shots={backend.shots}"
-                f" seed={backend.seed} rows=r_max..r_min cols=t_min..t_max"
-            )
-            img = render_heatmap(cfg.grid, backend, cfg.observable, points)
-            _write_text(cfg.output_pgm, format_pgm(img, metadata))
-            if img.missing:
-                mask = "".join(f"{i_r} {i_t}\n" for i_r, i_t in img.missing)
-                _write_text(cfg.output_pgm + ".mask", mask)
+        write_outputs(cfg, backend, points)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -462,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument("--seed", type=int, help="override the config seed")
     p_run.add_argument(
-        "--workers", type=int, default=1, help="parallel grid evaluation (same output)"
+        "--workers", type=int, default=1, help="accepted (K >= 1) but has no effect"
     )
 
     p_tr = sub.add_parser("transpile", help="rewrite a circuit file into a native gate set")

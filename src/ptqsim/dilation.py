@@ -16,7 +16,7 @@ from .gates import Circuit, circuit_unitary, rx
 from .linalg import dag, expm_taylor, is_unitary
 from .model import (
     PTParams,
-    angles,
+    _angles,
     hamiltonian,
     kernel,
     postselected_population,
@@ -67,7 +67,7 @@ def qutrit_circuit(p: PTParams) -> Circuit:
     spinor factors cancel and the block stays exact.
     """
     k = kernel(p)
-    ang = angles(p)
+    ang = _angles(p.r, k)
     if p.r * k.s >= 0.0:
         first, last = ang.phi, ang.phi
     else:

@@ -1,23 +1,23 @@
 """Finite-shot emulation of the hardware experiments.
 
-A grid point is evaluated by transpiling the qutrit circuit for the chosen
-backend, applying per-ion systematic over-rotation, mixing the resulting
-populations through a readout confusion matrix, and drawing multinomial
-counts from a counter-based generator keyed by (seed, grid indices) so the
-sweep is reproducible under any parallel schedule.
+A grid point is evaluated from the exact qutrit populations; the ion backend
+instead transpiles the circuit to its native pulses and applies per-ion
+systematic over-rotation. The populations are mixed through a readout
+confusion matrix, and multinomial counts are drawn from a counter-based
+generator keyed by (seed, grid indices), so each point's counts depend only
+on its grid position.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dilation import qutrit_circuit, qutrit_unitary
-from .gates import Circuit, Gate, GateKind, circuit_unitary, transpile_ion, transpile_transmon
+from .gates import Circuit, Gate, GateKind, circuit_unitary, transpile_ion
 from .linalg import populations
 from .model import PTParams
 
@@ -99,7 +99,6 @@ class BackendConfig:
     epsilon: tuple[float, ...] = ()
     seed: int = 0
     exact: bool = False  # report exact probabilities instead of sampled ratios
-    ion_confusions: tuple[ConfusionMatrix, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.shots < 1:
@@ -110,8 +109,6 @@ class BackendConfig:
             raise ValueError("per-ion over-rotation must satisfy |epsilon| < 0.5")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.ion_confusions is not None and len(self.ion_confusions) == 0:
-            raise ValueError("ion_confusions must be None or non-empty")
 
 
 def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
@@ -136,9 +133,7 @@ def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
     return BackendConfig(kind=BackendKind.THEORY, shots=512, seed=seed)
 
 
-def _backend_confusion(backend: BackendConfig, ion_index: int) -> ConfusionMatrix:
-    if backend.kind is BackendKind.ION and backend.ion_confusions is not None:
-        return backend.ion_confusions[ion_index % len(backend.ion_confusions)]
+def _backend_confusion(backend: BackendConfig) -> ConfusionMatrix:
     if backend.confusion is not None:
         return backend.confusion
     return identity_confusion()
@@ -169,16 +164,21 @@ def miscalibrate(c: Circuit, eps: float) -> Circuit:
 def exact_probabilities(
     p: PTParams, backend: BackendConfig, ion_index: int = 0
 ) -> np.ndarray:
-    """Declared-outcome distribution for the embedded evolution of |0>."""
-    if backend.kind is BackendKind.THEORY:
-        return populations(qutrit_unitary(p)[:, 0])
-    circ = qutrit_circuit(p)
+    """Declared-outcome distribution for the embedded evolution of |0>.
+
+    Only the ion backend has gate-level error, so only it is emulated on
+    native pulses; transmon pulses reproduce the qutrit unitary exactly and
+    its populations are the exact ones seen through readout confusion."""
     if backend.kind is BackendKind.ION:
-        circ = miscalibrate(transpile_ion(circ), _ion_epsilon(backend, ion_index))
+        circ = miscalibrate(
+            transpile_ion(qutrit_circuit(p)), _ion_epsilon(backend, ion_index)
+        )
+        true_probs = populations(circuit_unitary(circ)[:, 0])
     else:
-        circ = transpile_transmon(circ)
-    true_probs = populations(circuit_unitary(circ)[:, 0])
-    return _backend_confusion(backend, ion_index).entries @ true_probs
+        true_probs = populations(qutrit_unitary(p)[:, 0])
+    if backend.kind is BackendKind.THEORY:
+        return true_probs
+    return _backend_confusion(backend).entries @ true_probs
 
 
 def derive_seed(base: int, *key: int) -> int:
@@ -298,29 +298,21 @@ class SweepGrid:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
 
 
-def sweep(
-    grid: SweepGrid, backend: BackendConfig, workers: int = 1
-) -> list[ExperimentPoint]:
-    """Inclusive uniform grid in r-major order; the ion assignment and the
-    per-point random stream depend only on grid indices, so any degree of
-    parallelism returns identical results."""
-    rs = grid.r_values()
-    ts = grid.t_values()
-    tasks = [
-        (i_r, i_t, float(r), float(t))
-        for i_r, r in enumerate(rs)
-        for i_t, t in enumerate(ts)
+def sweep(grid: SweepGrid, backend: BackendConfig) -> list[ExperimentPoint]:
+    """Inclusive uniform grid in r-major order; the ion assignment (one ion
+    per t column) and the per-point random stream depend only on grid
+    indices."""
+    ions = backend.ion_count if backend.kind is BackendKind.ION else 1
+    return [
+        run_point(
+            PTParams(float(r), float(t)),
+            backend,
+            ion_index=i_t % ions,
+            grid_key=(i_r, i_t),
+        )
+        for i_r, r in enumerate(grid.r_values())
+        for i_t, t in enumerate(grid.t_values())
     ]
-
-    def run_one(task: tuple[int, int, float, float]) -> ExperimentPoint:
-        i_r, i_t, r, t = task
-        ion = i_t % backend.ion_count if backend.kind is BackendKind.ION else 0
-        return run_point(PTParams(r, t), backend, ion_index=ion, grid_key=(i_r, i_t))
-
-    if workers <= 1:
-        return [run_one(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, tasks))
 
 
 def estimate_confusion(
@@ -330,7 +322,7 @@ def estimate_confusion(
     matrix, and column-normalize the empirical counts."""
     if preparations_per_state < 1:
         raise ValueError("preparations_per_state must be at least 1")
-    true = _backend_confusion(backend, 0)
+    true = _backend_confusion(backend)
     columns = []
     for prepared in range(3):
         seed = derive_seed(backend.seed, 1, prepared)

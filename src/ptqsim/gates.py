@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -138,28 +138,26 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateSet:
+    """A native gate set: `admits(g)` is True for the gates it executes."""
+
     name: str
+    admits: Callable[[Gate], bool]
 
-    def admits(self, g: Gate) -> bool:
-        if self.name == "ABSTRACT":
-            return True
-        if self.name == "ION":
-            return g.kind in (GateKind.RION, GateKind.RZ) and g.subspace in (
-                (0, 1),
-                (0, 2),
-            )
-        if self.name == "TRANSMON":
-            if g.subspace not in ((0, 1), (1, 2)):
-                return False
-            if g.kind is GateKind.RX:
-                return g.angles[0] == _HALF_PI
-            return g.kind is GateKind.RZ
+
+def _ion_admits(g: Gate) -> bool:
+    return g.kind in (GateKind.RION, GateKind.RZ) and g.subspace in ((0, 1), (0, 2))
+
+
+def _transmon_admits(g: Gate) -> bool:
+    if g.subspace not in ((0, 1), (1, 2)):
         return False
+    if g.kind is GateKind.RX:
+        return g.angles[0] == _HALF_PI
+    return g.kind is GateKind.RZ
 
 
-ION = GateSet("ION")
-TRANSMON = GateSet("TRANSMON")
-ABSTRACT = GateSet("ABSTRACT")
+ION = GateSet("ION", _ion_admits)
+TRANSMON = GateSet("TRANSMON", _transmon_admits)
 
 
 def _require_abstract_rx(c: Circuit) -> None:
@@ -314,7 +312,6 @@ class CircuitStats:
     gate_count: int
     physical_count: int
     virtual_count: int
-    depth: int
 
 
 def stats(c: Circuit) -> CircuitStats:
@@ -324,7 +321,6 @@ def stats(c: Circuit) -> CircuitStats:
         gate_count=total,
         physical_count=physical,
         virtual_count=total - physical,
-        depth=total,
     )
 
 

@@ -28,15 +28,6 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().T
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equal-shape square matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff the max-abs entry of (m^dag m - 1) is at most tol."""
     if tol <= 0:
@@ -44,11 +35,6 @@ def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     m = np.asarray(m, dtype=complex)
     defect = dag(m) @ m - np.eye(m.shape[0], dtype=complex)
     return float(np.max(np.abs(defect))) <= tol
-
-
-def apply(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """u|state>."""
-    return np.asarray(u, dtype=complex) @ np.asarray(state, dtype=complex)
 
 
 def populations(state: np.ndarray) -> np.ndarray:
@@ -74,10 +60,21 @@ def svd2(m: np.ndarray) -> Svd2:
 
     Returns descending singular values and unitary factors with
     left . diag(sigma_plus, sigma_minus) . right^dag = m.
+
+    m is first divided by a power of two (exact in binary) that brings
+    max|m_ij| into [1, 2), so the Gram matrix neither underflows nor
+    overflows at any scale; the singular values are scaled back at the end
+    (the guard of LAPACK's dlasv2, Demmel & Kahan 1990).
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
+    biggest = float(np.max(np.abs(m)))
+    if biggest == 0.0:
+        return Svd2(0.0, 0.0, I2.copy(), I2.copy())
+    scale = math.ldexp(1.0, math.frexp(biggest)[1] - 1)
+    # real and imaginary parts apart: complex division by a subnormal overflows
+    m = m.real / scale + 1j * (m.imag / scale)
     g = dag(m) @ m
     g00 = g[0, 0].real
     g11 = g[1, 1].real
@@ -86,8 +83,6 @@ def svd2(m: np.ndarray) -> Svd2:
     disc = math.hypot(0.5 * (g00 - g11), abs(g01))
     lam_plus = mean + disc
     sigma_plus = math.sqrt(lam_plus)
-    if sigma_plus == 0.0:
-        return Svd2(0.0, 0.0, I2.copy(), I2.copy())
     # mean - disc cancels catastrophically once sigma_plus >> sigma_minus;
     # the 2x2 identity sigma+ . sigma- = |det m| stays accurate there
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -120,7 +115,7 @@ def svd2(m: np.ndarray) -> Svd2:
         u_minus = _orthonormal_partner(u_plus)
     left = np.column_stack([u_plus, u_minus])
     right = np.column_stack([v_plus, v_minus])
-    return Svd2(float(sigma_plus), float(sigma_minus), left, right)
+    return Svd2(float(sigma_plus) * scale, float(sigma_minus) * scale, left, right)
 
 
 def dist_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -125,16 +125,8 @@ def evolution(p: PTParams) -> np.ndarray:
     )
 
 
-def singular_values(p: PTParams) -> SingularPair:
-    """sigma_pm = a -+ |r s|; their product is exactly 1 (det V = 1).
-
-    The smaller value is computed as 1/sigma_plus because a^2 - (rs)^2 = 1
-    identically and the direct difference cancels catastrophically when
-    sigma_plus is large.
-    """
-    k = kernel(p)
-    rs_abs = abs(p.r * k.s)
-    sigma_plus = k.a + rs_abs
+def _singular_pair(r: float, k: Kernel) -> SingularPair:
+    sigma_plus = k.a + abs(r * k.s)
     sigma_minus = 1.0 / sigma_plus
     return SingularPair(
         sigma_plus=sigma_plus,
@@ -143,20 +135,32 @@ def singular_values(p: PTParams) -> SingularPair:
     )
 
 
+def singular_values(p: PTParams) -> SingularPair:
+    """sigma_pm = a -+ |r s|; their product is exactly 1 (det V = 1).
+
+    The smaller value is computed as 1/sigma_plus because a^2 - (rs)^2 = 1
+    identically and the direct difference cancels catastrophically when
+    sigma_plus is large.
+    """
+    return _singular_pair(p.r, kernel(p))
+
+
+def _angles(r: float, k: Kernel) -> Angles:
+    phi = math.atan2(k.s, k.c)
+    ratio = _singular_pair(r, k).ratio
+    theta = -2.0 * math.acos(min(max(ratio, 0.0), 1.0))
+    return Angles(phi=phi, theta=theta)
+
+
 def angles(p: PTParams) -> Angles:
     """phi is the unique branch with a.cos(phi) = c and a.sin(phi) = s."""
-    k = kernel(p)
-    sv = singular_values(p)
-    phi = math.atan2(k.s, k.c)
-    theta = -2.0 * math.acos(min(max(sv.ratio, 0.0), 1.0))
-    return Angles(phi=phi, theta=theta)
+    return _angles(p.r, kernel(p))
 
 
 def return_probability(p: PTParams) -> float:
     """|<0|U(t)|0>|^2 where the upper block of U is V/sigma_plus."""
     k = kernel(p)
-    sv = singular_values(p)
-    amp = (k.c + p.r * k.s) / sv.sigma_plus
+    amp = (k.c + p.r * k.s) / _singular_pair(p.r, k).sigma_plus
     return min(amp * amp, 1.0)
 
 

@@ -200,6 +200,22 @@ def test_run_writes_heatmap(tmp_path):
     assert not (tmp_path / "out.pgm.mask").exists()
 
 
+def test_run_removes_stale_mask(tmp_path):
+    csv_path = tmp_path / "out.csv"
+    pgm_path = tmp_path / "out.pgm"
+    mask_path = tmp_path / "out.pgm.mask"
+    cfg = write_config(
+        tmp_path,
+        "backend = transmon\nshots = 1\nobservable = postselected\n"
+        "r_steps = 5\nt_steps = 6\n"
+        f"output_csv = {csv_path}\noutput_pgm = {pgm_path}\n",
+    )
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    assert mask_path.read_text()  # single shots miss the (0,1) subspace somewhere
+    assert run_cli(["run", "--config", str(cfg), "--backend", "theory"]) == 0
+    assert not mask_path.exists()
+
+
 def test_run_flag_overrides(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     cfg = write_config(

@@ -13,7 +13,6 @@ from conftest import (
     brute_singular_values,
     complex_matrices,
     finite_floats,
-    haar_unitary,
     series_evolution,
 )
 from ptqsim.linalg import (
@@ -22,29 +21,17 @@ from ptqsim.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    apply,
     dag,
     dist_up_to_global_phase,
     expm_taylor,
     is_unitary,
     ket,
-    mat_mul,
     populations,
     svd2,
 )
 
 # e^{-iHt} at the r=1, t=1 crossover: c=1, s=1, so V = [[2, -i], [-i, 0]]
 V_EP = np.array([[2.0, -1.0j], [-1.0j, 0.0]], dtype=complex)
-
-RX01_HALF = np.array(
-    [
-        [math.cos(math.pi / 4), -1j * math.sin(math.pi / 4), 0],
-        [-1j * math.sin(math.pi / 4), math.cos(math.pi / 4), 0],
-        [0, 0, 1],
-    ],
-    dtype=complex,
-)
-RX01_PI = np.array([[0, -1j, 0], [-1j, 0, 0], [0, 0, 1]], dtype=complex)
 
 
 def test_ket_basis_vectors():
@@ -57,22 +44,6 @@ def test_ket_basis_vectors():
         ket(-1, dim=2)
 
 
-def test_mat_mul_identity_and_pauli():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(mat_mul(I3, m), m, atol=1e-15)
-    assert np.allclose(mat_mul(SIGMA_X, SIGMA_X), I2, atol=1e-15)
-
-
-def test_mat_mul_half_rotations_compose():
-    assert np.max(np.abs(mat_mul(RX01_HALF, RX01_HALF) - RX01_PI)) < 1e-12
-
-
-def test_mat_mul_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(I2, I3)
-
-
 def test_is_unitary_examples():
     assert is_unitary(I3, tol=1e-12)
     assert not is_unitary(np.diag([1.0, 1.0, 2.0]), tol=1e-12)
@@ -81,20 +52,6 @@ def test_is_unitary_examples():
     assert is_unitary(rx12, tol=1e-12)
     with pytest.raises(ValueError):
         is_unitary(I3, tol=0.0)
-
-
-def test_apply_examples():
-    assert np.allclose(apply(I3, ket(0)), ket(0), atol=1e-15)
-    assert np.allclose(apply(RX01_PI, ket(0)), -1j * ket(1), atol=1e-15)
-
-
-def test_apply_preserves_norm():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        u = haar_unitary(3, rng)
-        s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        s = s / np.linalg.norm(s)
-        assert abs(np.linalg.norm(apply(u, s)) - 1.0) < 1e-12
 
 
 def test_populations_examples():
@@ -107,7 +64,7 @@ def test_populations_sum_after_evolution():
     from ptqsim.dilation import qutrit_unitary
     from ptqsim.model import PTParams
 
-    pops = populations(apply(qutrit_unitary(PTParams(0.5, 1.0)), ket(0)))
+    pops = populations(qutrit_unitary(PTParams(0.5, 1.0)) @ ket(0))
     assert abs(float(pops.sum()) - 1.0) < 1e-12
 
 
@@ -142,6 +99,23 @@ def test_svd2_zero_matrix():
 def test_svd2_rejects_wrong_shape():
     with pytest.raises(ValueError):
         svd2(I3)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[0, 0], [3.3e-111j, 3.3e-111j]]),
+        np.array([[1.0, 2.0j], [-3.0 + 0.5j, 4.0]]) * 1e-150,
+        np.array([[1.0, 2.0j], [-3.0 + 0.5j, 4.0]]) * 1e150,
+    ],
+)
+def test_svd2_extreme_scales(m):
+    # the Gram matrix of these underflows or overflows without rescaling
+    res = svd2(m)
+    assert np.all(np.isfinite(res.left)) and np.all(np.isfinite(res.right))
+    assert is_unitary(res.left, 1e-12) and is_unitary(res.right, 1e-12)
+    recon = res.left @ np.diag([res.sigma_plus, res.sigma_minus]) @ dag(res.right)
+    assert np.max(np.abs(recon - m)) < 1e-12 * np.max(np.abs(m))
 
 
 def test_svd2_reconstruction_bulk():
