@@ -4,6 +4,7 @@ circuit transpilation, and randomized dilation spot checks."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -315,22 +316,36 @@ def write_outputs(
 ) -> None:
     """Write the CSV and, when configured, the PGM heatmap with a `.mask`
     sidecar listing its missing points; a mask left by an earlier run is
-    removed when no point is missing (OSError propagates to the caller)."""
-    _write_text(cfg.output_csv, render_csv(points, backend))
-    if cfg.output_pgm is None:
-        return
-    metadata = (
-        f"backend={backend.kind.value} observable={cfg.observable.value}"
-        f" confusion={_confusion_label(backend)} shots={backend.shots}"
-        f" seed={backend.seed} rows=r_max..r_min cols=t_min..t_max"
-    )
-    img = render_heatmap(cfg.grid, backend, cfg.observable, points)
-    _write_text(cfg.output_pgm, format_pgm(img, metadata))
-    mask_path = cfg.output_pgm + ".mask"
-    if img.missing:
-        _write_text(mask_path, "".join(f"{i_r} {i_t}\n" for i_r, i_t in img.missing))
-    else:
-        Path(mask_path).unlink(missing_ok=True)
+    removed when no point is missing. Every artifact is rendered and written
+    to a temp file beside its target before any target is replaced, so a
+    failed write leaves the earlier artifacts as they were (OSError
+    propagates to the caller)."""
+    texts = {cfg.output_csv: render_csv(points, backend)}
+    stale_mask = None
+    if cfg.output_pgm is not None:
+        metadata = (
+            f"backend={backend.kind.value} observable={cfg.observable.value}"
+            f" confusion={_confusion_label(backend)} shots={backend.shots}"
+            f" seed={backend.seed} rows=r_max..r_min cols=t_min..t_max"
+        )
+        img = render_heatmap(cfg.grid, backend, cfg.observable, points)
+        texts[cfg.output_pgm] = format_pgm(img, metadata)
+        mask_path = cfg.output_pgm + ".mask"
+        if img.missing:
+            texts[mask_path] = "".join(f"{i_r} {i_t}\n" for i_r, i_t in img.missing)
+        else:
+            stale_mask = mask_path
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in texts}
+    try:
+        for path, text in texts.items():
+            _write_text(temps[path], text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            Path(temp).unlink(missing_ok=True)
+    if stale_mask is not None:
+        Path(stale_mask).unlink(missing_ok=True)
 
 
 def run_command(args: argparse.Namespace) -> int:

@@ -14,14 +14,7 @@ import numpy as np
 
 from .gates import Circuit, circuit_unitary, rx
 from .linalg import dag, expm_taylor, is_unitary
-from .model import (
-    PTParams,
-    _angles,
-    hamiltonian,
-    kernel,
-    postselected_population,
-    singular_values,
-)
+from .model import PTParams, _angles, _postselected, _singular_pair, hamiltonian, kernel
 
 SIZE_CAP = 16
 
@@ -68,11 +61,8 @@ def qutrit_circuit(p: PTParams) -> Circuit:
     """
     k = kernel(p)
     ang = _angles(p.r, k)
-    if p.r * k.s >= 0.0:
-        first, last = ang.phi, ang.phi
-    else:
-        first, last = ang.phi - math.pi, ang.phi + math.pi
-    return Circuit((rx(0, 1, first), rx(1, 2, ang.theta), rx(0, 1, last)))
+    flip = 0.0 if p.r * k.gs >= 0.0 else math.pi
+    return Circuit((rx(0, 1, ang.phi - flip), rx(1, 2, ang.theta), rx(0, 1, ang.phi + flip)))
 
 
 def qutrit_unitary(p: PTParams) -> np.ndarray:
@@ -153,9 +143,9 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
     The shift multiplies V by exp(-mu t), which the conditional population
     cannot see; the gap is pure numerical error.
     """
-    sv = singular_values(p)
-    damped_norm = math.exp(-mu * p.t) * sv.sigma_plus
-    if damped_norm > 1.0 + 1e-12:
+    k = kernel(p)
+    damped_norm = math.exp(-mu * p.t) * _singular_pair(p.r, k).sigma_plus
+    if not damped_norm <= 1.0 + 1e-12:  # NaN once exp(-mu t) = 0 and sigma_max = inf
         raise ShiftTooSmall(
             f"exp(-mu t).sigma_max = {damped_norm:.6g} exceeds 1; "
             "the shifted evolution is not a contraction"
@@ -164,4 +154,4 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
     w = expm_taylor(-1j * shifted * p.t)
     num = abs(w[0, 0]) ** 2
     ratio = num / (num + abs(w[1, 0]) ** 2)
-    return abs(ratio - postselected_population(p))
+    return abs(ratio - _postselected(p.r, k))

@@ -3,7 +3,8 @@
 The Hamiltonian couples two levels with strength 1 and applies balanced
 gain/loss of strength r. Everything downstream is a function of the kernel
 (c, s) = (cos(ht), sin(ht)/h) with h^2 = 1 - r^2, continued analytically
-through the exceptional point at r = 1.
+through the exceptional point at r = 1. Observables are ratios, read from a
+copy of the kernel scaled to stay finite.
 """
 
 from __future__ import annotations
@@ -14,12 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SIGMA_X
-
-# width of the crossover window where the trig/hyperbolic forms are 0/0
-EP_WINDOW = 1e-8
-
-_C_COEF = tuple(1.0 / math.factorial(2 * k) for k in range(5))
-_S_COEF = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5))
 
 
 class LambdaTooSmall(ValueError):
@@ -38,12 +33,26 @@ class PTParams:
             raise ValueError("r and t must be nonnegative")
 
 
+def _unscale(x: float, g: float) -> float:
+    """x / g, or x.inf once g has underflowed to 0."""
+    return x / g if g else x * math.inf
+
+
 @dataclass(frozen=True)
 class Kernel:
+    """(c, s, a) = (gc, gs, ga) / g. The scale g is e^{-kappa t} past r = 1,
+    a power of two at r = 1 and 1 below it, so the scaled values are finite
+    everywhere; the unscaled ones are inf past kappa t ~ 710."""
+
     h_sq: float
-    c: float
-    s: float
-    a: float
+    g: float
+    gc: float
+    gs: float
+    ga: float
+
+    c = property(lambda k: _unscale(k.gc, k.g))
+    s = property(lambda k: _unscale(k.gs, k.g))
+    a = property(lambda k: _unscale(k.ga, k.g))
 
 
 @dataclass(frozen=True)
@@ -75,64 +84,60 @@ def pt_symmetry_check(m: np.ndarray, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(transformed - m))) <= tol
 
 
+def _root(r: float) -> float:
+    """sqrt(|1 - r^2|) with no cancellation near r = 1 and no overflow."""
+    if r <= 1.0:
+        return math.sqrt((1.0 - r) * (1.0 + r))
+    return math.sqrt(r - 1.0) * math.sqrt(r + 1.0)
+
+
 def eigenvalues(r: float) -> tuple[complex, complex]:
     """(+h, -h): real below r = 1, imaginary above."""
     if r < 0.0:
         raise ValueError("r must be nonnegative")
-    if r <= 1.0:
-        h = complex(math.sqrt(1.0 - r * r))
-    else:
-        h = 1j * math.sqrt(r * r - 1.0)
+    h = complex(_root(r)) if r <= 1.0 else 1j * _root(r)
     return (h, -h)
 
 
 def kernel(p: PTParams) -> Kernel:
     """Analytic continuation of (cos(ht), sin(ht)/h) across r = 1.
 
-    Near the crossover both closed forms are 0/0 in h, so a short Taylor
-    series in h^2 takes over; a = sqrt(1 + (r s)^2) is exact in all branches.
-    """
+    h^2 = (1 - r)(1 + r) has no cancellation, so the trig and hyperbolic forms
+    hold right up to h = 0, where (c, s) = (1, t). Past r = 1, g = e^{-kappa t}
+    makes g.cosh and g.sinh (1 + g^2)/2 and -expm1(-2 kappa t)/(2 kappa)."""
     r, t = p.r, p.t
-    x = (1.0 - r) * (1.0 + r)  # h^2, computed without cancellation near r = 1
-    if abs(1.0 - r) <= EP_WINDOW:
-        t_sq = t * t
-        powers = (1.0, t_sq, t_sq * t_sq, t_sq * t_sq * t_sq, t_sq * t_sq * t_sq * t_sq)
-        c = 0.0
-        s = 0.0
-        for k in range(4, -1, -1):
-            c = c * (-x) + powers[k] * _C_COEF[k]
-            s = s * (-x) + powers[k] * _S_COEF[k]
-        s *= t
-    elif x > 0.0:
-        h = math.sqrt(x)
-        c = math.cos(h * t)
-        s = math.sin(h * t) / h
+    h = _root(r)
+    if r < 1.0:
+        g, c, s = 1.0, math.cos(h * t), math.sin(h * t) / h
+    elif r > 1.0:
+        g = math.exp(-h * t)
+        c = 0.5 * (1.0 + g * g)
+        s = -0.5 * math.expm1(-2.0 * (h * t)) / h
     else:
-        kappa = math.sqrt(-x)
-        c = math.cosh(kappa * t)
-        s = math.sinh(kappa * t) / kappa
+        g = 0.5 ** max(math.frexp(t)[1], 0)  # exact, and keeps r.s below 1
+        c, s = g, t * g
     rs = r * s
-    a = math.sqrt(1.0 + rs * rs)
-    return Kernel(h_sq=x, c=c, s=s, a=a)
+    return Kernel((1.0 - r) * (1.0 + r), g, c, s, math.sqrt(g * g + rs * rs))
+
+
+def _evolution(r: float, k: Kernel, scaled: bool = False) -> np.ndarray:
+    """V, or its finite copy g.V when scaled."""
+    rs = r * k.gs
+    plus, s, minus = k.gc + rs, k.gs, k.gc - rs
+    if not scaled:
+        plus, s, minus = (_unscale(x, k.g) for x in (plus, s, minus))
+    return np.array([[plus, complex(0.0, -s)], [complex(0.0, -s), minus]])
 
 
 def evolution(p: PTParams) -> np.ndarray:
     """c.1 - i.s.H: the time-evolution operator in closed form."""
-    k = kernel(p)
-    rs = p.r * k.s
-    return np.array(
-        [[k.c + rs, -1j * k.s], [-1j * k.s, k.c - rs]], dtype=complex
-    )
+    return _evolution(p.r, kernel(p))
 
 
 def _singular_pair(r: float, k: Kernel) -> SingularPair:
-    sigma_plus = k.a + abs(r * k.s)
-    sigma_minus = 1.0 / sigma_plus
-    return SingularPair(
-        sigma_plus=sigma_plus,
-        sigma_minus=sigma_minus,
-        ratio=sigma_minus / sigma_plus,
-    )
+    scaled = k.ga + abs(r * k.gs)
+    sigma_plus, sigma_minus = _unscale(scaled, k.g), k.g / scaled
+    return SingularPair(sigma_plus, sigma_minus, sigma_minus / sigma_plus)
 
 
 def singular_values(p: PTParams) -> SingularPair:
@@ -140,13 +145,13 @@ def singular_values(p: PTParams) -> SingularPair:
 
     The smaller value is computed as 1/sigma_plus because a^2 - (rs)^2 = 1
     identically and the direct difference cancels catastrophically when
-    sigma_plus is large.
+    sigma_plus is large; sigma_plus is inf once it overflows.
     """
     return _singular_pair(p.r, kernel(p))
 
 
 def _angles(r: float, k: Kernel) -> Angles:
-    phi = math.atan2(k.s, k.c)
+    phi = math.atan2(k.gs, k.gc)
     ratio = _singular_pair(r, k).ratio
     theta = -2.0 * math.acos(min(max(ratio, 0.0), 1.0))
     return Angles(phi=phi, theta=theta)
@@ -160,16 +165,20 @@ def angles(p: PTParams) -> Angles:
 def return_probability(p: PTParams) -> float:
     """|<0|U(t)|0>|^2 where the upper block of U is V/sigma_plus."""
     k = kernel(p)
-    amp = (k.c + p.r * k.s) / _singular_pair(p.r, k).sigma_plus
+    rs = p.r * k.gs
+    amp = (k.gc + rs) / (k.ga + abs(rs))
     return min(amp * amp, 1.0)
+
+
+def _postselected(r: float, k: Kernel) -> float:
+    v00 = k.gc + r * k.gs
+    num = v00 * v00
+    return num / (num + k.gs * k.gs)
 
 
 def postselected_population(p: PTParams) -> float:
     """|V00|^2 / (|V00|^2 + |V10|^2): conditioning removes any rescaling."""
-    k = kernel(p)
-    v00 = k.c + p.r * k.s
-    num = v00 * v00
-    return num / (num + k.s * k.s)
+    return _postselected(p.r, kernel(p))
 
 
 def success_probability(p: PTParams, psi: np.ndarray) -> float:
@@ -179,17 +188,18 @@ def success_probability(p: PTParams, psi: np.ndarray) -> float:
         raise ValueError("psi must be a 2-vector")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("psi must be normalized")
-    sv = singular_values(p)
-    w = evolution(p) @ psi
-    return float(np.real(np.vdot(w, w)) / (sv.sigma_plus * sv.sigma_plus))
+    k = kernel(p)
+    w = _evolution(p.r, k, scaled=True) @ psi
+    return float(np.real(np.vdot(w, w)) / (k.ga + abs(p.r * k.gs)) ** 2)
 
 
 def rescaled_evolution(p: PTParams, lam: float) -> np.ndarray:
     """V(t)/lam; only defined when the result is a contraction."""
-    sv = singular_values(p)
-    if lam < sv.sigma_plus - 1e-12:
+    k = kernel(p)
+    sigma_plus = _singular_pair(p.r, k).sigma_plus
+    if lam < sigma_plus - 1e-12:
         raise LambdaTooSmall(
             f"lambda = {lam:.12g} is below the largest singular value "
-            f"{sv.sigma_plus:.12g}"
+            f"{sigma_plus:.12g}"
         )
-    return evolution(p) / lam
+    return _evolution(p.r, k) / lam

@@ -2,12 +2,14 @@
 
 The oracles here deliberately avoid the library's own code paths:
 matrix exponentials come from scipy, singular values from dense
-eigendecompositions of the Gram matrix.  Closed-form results in the
-library are always checked against at least one of these routes.
+eigendecompositions of the Gram matrix, and the observables at 60 digits
+from mpmath.  Closed-form results in the library are always checked
+against at least one of these routes.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
@@ -19,6 +21,25 @@ def series_evolution(r: float, t: float) -> np.ndarray:
     """exp(-i H t) via scipy's Pade-based expm, independent of the kernel."""
     h = np.array([[1j * r, 1.0], [1.0, -1j * r]], dtype=complex)
     return scipy.linalg.expm(-1j * t * h)
+
+
+def mp_observables(r: float, t: float) -> tuple[float, float]:
+    """(return probability, postselected population) from the unscaled
+    closed forms at 60 digits; mpmath's exponent range does not overflow."""
+    with mpmath.workdps(60):
+        r, t = mpmath.mpf(r), mpmath.mpf(t)
+        h_sq = (1 - r) * (1 + r)
+        if h_sq > 0:
+            h = mpmath.sqrt(h_sq)
+            c, s = mpmath.cos(h * t), mpmath.sin(h * t) / h
+        elif h_sq < 0:
+            kappa = mpmath.sqrt(-h_sq)
+            c, s = mpmath.cosh(kappa * t), mpmath.sinh(kappa * t) / kappa
+        else:
+            c, s = mpmath.mpf(1), t
+        v00, rs = c + r * s, abs(r * s)
+        sigma_plus = mpmath.sqrt(1 + rs * rs) + rs
+        return float((v00 / sigma_plus) ** 2), float(v00**2 / (v00**2 + s**2))
 
 
 def brute_singular_values(m: np.ndarray) -> np.ndarray:

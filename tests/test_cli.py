@@ -1,6 +1,7 @@
 """Front-end behavior: config parsing, the three subcommands, exit codes,
 and the CSV/PGM output contracts."""
 
+import csv
 import math
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from conftest import mp_observables
 from ptqsim import cli
 from ptqsim.dilation import qutrit_circuit
 from ptqsim.experiment import BackendKind, SweepGrid
@@ -214,6 +216,47 @@ def test_run_removes_stale_mask(tmp_path):
     assert mask_path.read_text()  # single shots miss the (0,1) subspace somewhere
     assert run_cli(["run", "--config", str(cfg), "--backend", "theory"]) == 0
     assert not mask_path.exists()
+
+
+def test_run_failed_write_keeps_earlier_outputs(tmp_path):
+    csv_path = tmp_path / "out.csv"
+    pgm_path = tmp_path / "out.pgm"
+    mask_path = tmp_path / "out.pgm.mask"
+    grid = "r_steps = 5\nt_steps = 6\n"
+    cfg = write_config(
+        tmp_path,
+        f"backend = transmon\nshots = 1\nobservable = postselected\n{grid}"
+        f"output_csv = {csv_path}\noutput_pgm = {pgm_path}\n",
+    )
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    before = {path: path.read_bytes() for path in (csv_path, pgm_path, mask_path)}
+    names = sorted(tmp_path.iterdir())
+
+    # the CSV is rendered first, but the PGM's directory is missing: no
+    # artifact may be replaced and no temp file may stay behind
+    bad = write_config(
+        tmp_path,
+        f"{grid}output_csv = {csv_path}\noutput_pgm = {tmp_path / 'absent' / 'out.pgm'}\n",
+        name="bad.cfg",
+    )
+    assert run_cli(["run", "--config", str(bad)]) == 1
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(tmp_path.iterdir()) == sorted(names + [bad])
+
+
+def test_run_deep_broken_phase(tmp_path):
+    csv_path = tmp_path / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        "r_min = 1.5\nr_max = 1.5\nr_steps = 1\n"
+        "t_min = 1000\nt_max = 1000\nt_steps = 1\n"
+        f"output_csv = {csv_path}\n",
+    )
+    for backend in ("theory", "ion", "transmon"):
+        assert run_cli(["run", "--config", str(cfg), "--backend", backend]) == 0, backend
+        (row,) = csv.DictReader(csv_path.open())
+        if backend == "theory":
+            assert float(row["p0"]) == pytest.approx(mp_observables(1.5, 1000.0)[0], abs=1e-12)
 
 
 def test_run_flag_overrides(tmp_path, capsys):

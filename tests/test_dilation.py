@@ -213,3 +213,6 @@ def test_shift_equivalence_examples():
     assert hamiltonian_shift_equivalence(PTParams(1.2, 2.0), 2.0) < 1e-10
     with pytest.raises(ShiftTooSmall):
         hamiltonian_shift_equivalence(PTParams(1.2, 2.0), 0.0)
+    # sigma_max overflows and exp(-mu t) underflows: mu < kappa still expands
+    with pytest.raises(ShiftTooSmall):
+        hamiltonian_shift_equivalence(PTParams(1.5, 1000.0), 0.8)

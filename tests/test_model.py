@@ -1,4 +1,4 @@
-"""Closed-form PT-symmetric dynamics against series and SVD oracles.
+"""Closed-form PT-symmetric dynamics against series, SVD and mpmath oracles.
 
 Frozen constants were produced by the independent oracles (scipy expm, brute
 Gram-eigenvalue SVD) before the closed forms were compared against them.
@@ -6,11 +6,14 @@ Gram-eigenvalue SVD) before the closed forms were compared against them.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import finite_floats, pt_params, series_evolution
+from conftest import finite_floats, mp_observables, pt_params, series_evolution
+from ptqsim import dilation, model
 from ptqsim.linalg import I2, SIGMA_X, SIGMA_Z, expm_taylor, svd2
 from ptqsim.model import (
     Angles,
@@ -32,6 +35,28 @@ from ptqsim.model import (
 # (kappa + r)^2 / ((kappa + r)^2 + 1) at r = 1.2, the broken-phase limit of
 # the conditioned population, frozen from direct evaluation
 BROKEN_ASYMPTOTE = 0.7763853991962832
+
+# r = 1 -+ 10^-k, where the kernel's closed forms approach 0/0
+NEAR_EP = st.builds(
+    lambda k, sign: 1.0 + sign * 10.0**-k, st.integers(1, 16), st.sampled_from((-1.0, 1.0))
+)
+
+# the deep broken phase, where cosh and (r s)^2 overflow unless scaled; t = 1e6
+# next to r = 1, where any series window in r alone is 2e-5 off; and r or t at
+# the top of the float range
+PINNED_POINTS = [
+    (2.0, 400.0),
+    (1.5, 1000.0),
+    (1.0 - 1e-9, 1e6),
+    (1.0 + 1e-9, 1e6),
+    (1.0, 1e300),
+    (1e200, 1.0),
+]
+
+
+def oracle_tol(t: float) -> float:
+    """Rounding h.t costs ~eps.t in the phase, so the bound grows with t."""
+    return 1e-14 * max(1.0, t)
 
 
 def half_rx(phi: float) -> np.ndarray:
@@ -86,6 +111,15 @@ def test_eigenvalue_examples():
     assert abs(lo - oracle[1]) < 1e-12
     with pytest.raises(ValueError):
         eigenvalues(-0.5)
+
+
+@pytest.mark.parametrize("r", [1.0 - 1e-12, 1e200])
+def test_eigenvalues_match_mpmath(r):
+    with mpmath.workdps(60):
+        h = complex(mpmath.sqrt(mpmath.mpc(1 - mpmath.mpf(r) ** 2)))
+    lo, hi = eigenvalues(r)
+    assert abs(lo - h) <= 4e-16 * abs(h)
+    assert hi == -lo
 
 
 def test_kernel_hermitian_limit():
@@ -335,3 +369,67 @@ def test_continuity_across_exceptional_point():
 def test_angles_is_plain_record():
     ang = Angles(phi=0.25, theta=-0.5)
     assert ang.phi == 0.25 and ang.theta == -0.5
+
+
+@given(st.one_of(finite_floats(0.0, 10.0), NEAR_EP), finite_floats(0.0, 1e6))
+@settings(deadline=None, max_examples=300)
+def test_observables_match_mpmath(r, t):
+    p = PTParams(r, t)
+    ret, post = mp_observables(r, t)
+    assert abs(return_probability(p) - ret) <= oracle_tol(t)
+    assert abs(postselected_population(p) - post) <= oracle_tol(t)
+
+
+@given(st.one_of(finite_floats(0.0, 1e300), NEAR_EP), finite_floats(0.0, 1e300))
+@settings(deadline=None, max_examples=300)
+def test_observables_finite_over_whole_domain(r, t):
+    p = PTParams(r, t)
+    assert 0.0 <= return_probability(p) <= 1.0
+    assert 0.0 <= postselected_population(p) <= 1.0
+    ang = angles(p)
+    assert math.isfinite(ang.phi) and math.isfinite(ang.theta)
+    assert len(dilation.qutrit_circuit(p).gates) == 3
+
+
+@pytest.mark.parametrize(("r", "t"), PINNED_POINTS)
+def test_observables_at_pinned_points(r, t):
+    p = PTParams(r, t)
+    ret, post = mp_observables(r, t)
+    # past the oracle domain only r = 1 is pinned, where no phase is rounded
+    tol = oracle_tol(t) if t <= 1e6 else 1e-15
+    assert abs(return_probability(p) - ret) <= tol
+    assert abs(postselected_population(p) - post) <= tol
+    k = kernel(p)
+    assert not any(math.isnan(x) for x in (k.c, k.s, k.a))  # inf is allowed
+
+
+def test_one_kernel_evaluation_per_call(monkeypatch):
+    calls = []
+    real_kernel = model.kernel
+
+    def counted(p):
+        calls.append(p)
+        return real_kernel(p)
+
+    monkeypatch.setattr(model, "kernel", counted)
+    monkeypatch.setattr(dilation, "kernel", counted)
+    psi = np.array([1.0, 0.0])
+    for p in (PTParams(0.5, 1.0), PTParams(1.5, 1.0)):
+        entries = {
+            "kernel": lambda: model.kernel(p),
+            "evolution": lambda: evolution(p),
+            "singular_values": lambda: singular_values(p),
+            "angles": lambda: angles(p),
+            "return_probability": lambda: return_probability(p),
+            "postselected_population": lambda: postselected_population(p),
+            "success_probability": lambda: success_probability(p, psi),
+            "rescaled_evolution": lambda: rescaled_evolution(p, 100.0),
+            "qutrit_circuit": lambda: dilation.qutrit_circuit(p),
+            "hamiltonian_shift_equivalence": lambda: (
+                dilation.hamiltonian_shift_equivalence(p, 2.0)
+            ),
+        }
+        for name, call in entries.items():
+            calls.clear()
+            call()
+            assert calls == [p], name
