@@ -82,6 +82,7 @@ from .model import (
     kernel,
     postselected_population,
     pt_symmetry_check,
+    qutrit_populations,
     rescaled_evolution,
     return_probability,
     singular_values,

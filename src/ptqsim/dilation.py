@@ -14,7 +14,7 @@ import numpy as np
 
 from .gates import Circuit, circuit_unitary, rx
 from .linalg import dag, expm_taylor, is_unitary
-from .model import PTParams, _angles, _postselected, _singular_pair, hamiltonian, kernel
+from .model import PTParams, _angles, _postselected, _root, hamiltonian, kernel
 
 SIZE_CAP = 16
 
@@ -144,14 +144,25 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
     cannot see; the gap is pure numerical error.
     """
     k = kernel(p)
-    damped_norm = math.exp(-mu * p.t) * _singular_pair(p.r, k).sigma_plus
-    if not damped_norm <= 1.0 + 1e-12:  # NaN once exp(-mu t) = 0 and sigma_max = inf
+    # log(exp(-mu t).sigma_plus), with sigma_plus = sigma_hat/g; past r = 1,
+    # g = exp(-kappa t) and (kappa - mu) t holds where sigma_plus overflows
+    log_norm = math.log(k.ga + abs(p.r * k.gs))
+    if p.r > 1.0:
+        log_norm += (_root(p.r) - mu) * p.t
+    else:
+        log_norm -= math.log(k.g) + mu * p.t
+    if not log_norm <= 1e-12:
         raise ShiftTooSmall(
-            f"exp(-mu t).sigma_max = {damped_norm:.6g} exceeds 1; "
+            f"log(exp(-mu t).sigma_max) = {log_norm:.6g} exceeds 0; "
             "the shifted evolution is not a contraction"
         )
     shifted = hamiltonian(p.r) - 1j * mu * np.eye(2, dtype=complex)
     w = expm_taylor(-1j * shifted * p.t)
     num = abs(w[0, 0]) ** 2
-    ratio = num / (num + abs(w[1, 0]) ** 2)
-    return abs(ratio - _postselected(p.r, k))
+    total = num + abs(w[1, 0]) ** 2
+    if total == 0.0:
+        raise DilationError(
+            "the series-summed damped evolution underflows to 0 "
+            f"at mu.t = {mu * p.t:.6g}"
+        )
+    return abs(num / total - _postselected(p.r, k))

@@ -1,8 +1,8 @@
 """Finite-shot emulation of the hardware experiments.
 
-A grid point is evaluated from the exact qutrit populations; the ion backend
-instead transpiles the circuit to its native pulses and applies per-ion
-systematic over-rotation. The populations are mixed through a readout
+A grid point is evaluated from the closed-form qutrit populations; the ion
+backend instead transpiles the circuit to its native pulses and applies
+per-ion systematic over-rotation. The populations are mixed through a readout
 confusion matrix, and multinomial counts are drawn from a counter-based
 generator keyed by (seed, grid indices), so each point's counts depend only
 on its grid position.
@@ -16,14 +16,16 @@ from enum import Enum
 
 import numpy as np
 
-from .dilation import qutrit_circuit, qutrit_unitary
+from .dilation import qutrit_circuit
 from .gates import Circuit, Gate, GateKind, circuit_unitary, transpile_ion
 from .linalg import populations
-from .model import PTParams
+from .model import PTParams, qutrit_populations
 
 DEFAULT_ION_EPSILON = (0.02, -0.015, 0.01, -0.02, 0.005)
 DEFAULT_ION_DIAGONAL = 0.97
 DEFAULT_TRANSMON_DIAGONAL = 0.876
+# a sweep holds one record per point; a typo in a step count must not grow it
+MAX_GRID_POINTS = 10**7
 
 
 class BadDistribution(ValueError):
@@ -167,15 +169,16 @@ def exact_probabilities(
     """Declared-outcome distribution for the embedded evolution of |0>.
 
     Only the ion backend has gate-level error, so only it is emulated on
-    native pulses; transmon pulses reproduce the qutrit unitary exactly and
-    its populations are the exact ones seen through readout confusion."""
+    native pulses. Theory reads the closed-form populations; transmon pulses
+    reproduce the qutrit unitary exactly, so it sees those same populations
+    through readout confusion."""
     if backend.kind is BackendKind.ION:
         circ = miscalibrate(
             transpile_ion(qutrit_circuit(p)), _ion_epsilon(backend, ion_index)
         )
         true_probs = populations(circuit_unitary(circ)[:, 0])
     else:
-        true_probs = populations(qutrit_unitary(p)[:, 0])
+        true_probs = qutrit_populations(p)
     if backend.kind is BackendKind.THEORY:
         return true_probs
     return _backend_confusion(backend).entries @ true_probs
@@ -286,6 +289,11 @@ class SweepGrid:
                 raise ValueError(f"{name} must be finite")
         if self.r_steps < 1 or self.t_steps < 1:
             raise ValueError("steps must be at least 1")
+        if self.r_steps * self.t_steps > MAX_GRID_POINTS:
+            raise ValueError(
+                f"r_steps * t_steps = {self.r_steps * self.t_steps} exceeds "
+                f"{MAX_GRID_POINTS} points"
+            )
         if self.r_min < 0.0 or self.t_min < 0.0:
             raise ValueError("grid must lie in r >= 0, t >= 0")
         if self.r_max < self.r_min or self.t_max < self.t_min:

@@ -121,11 +121,21 @@ def kernel(p: PTParams) -> Kernel:
 
 
 def _evolution(r: float, k: Kernel, scaled: bool = False) -> np.ndarray:
-    """V, or its finite copy g.V when scaled."""
+    """V, or its finite copy g.V when scaled.
+
+    Past r = 2, c - r.s cancels as r grows; with kappa - r = -1/(kappa + r),
+    g.V11 = g^2 (kappa + r)/(2 kappa) - 1/(2 kappa (kappa + r)) does not. The
+    plain difference stays below r = 2, where this form cancels as kappa -> 0.
+    """
     rs = r * k.gs
     plus, s, minus = k.gc + rs, k.gs, k.gc - rs
+    if r > 2.0:
+        kappa = _root(r)
+        minus = k.g * k.g * (0.5 + 0.5 * r / kappa) - 0.5 / kappa / (kappa + r)
     if not scaled:
-        plus, s, minus = (_unscale(x, k.g) for x in (plus, s, minus))
+        # V11 < 0 once g underflows; like c and s, it then reads as inf
+        minus = minus / k.g if k.g else -math.inf
+        plus, s = _unscale(plus, k.g), _unscale(s, k.g)
     return np.array([[plus, complex(0.0, -s)], [complex(0.0, -s), minus]])
 
 
@@ -162,12 +172,32 @@ def angles(p: PTParams) -> Angles:
     return _angles(p.r, kernel(p))
 
 
+def _populations(r: float, k: Kernel) -> tuple[float, float, float]:
+    # n0, n1 = |V00|^2, |V10|^2 and n2 = sigma_plus^2 - n0 - n1 = 2|rs|.d,
+    # with d = a - sign(rs).c taken from a^2 - c^2 = s^2 so it never cancels.
+    # Dividing by the rounded n0 + n1 + n2 rather than by sigma_plus^2 keeps
+    # the three within 2 ulp of unit mass instead of 5.
+    rs = r * k.gs
+    if k.gc * rs < 0.0:
+        d = k.ga + abs(k.gc)
+    else:
+        d = k.gs * k.gs / (k.ga + abs(k.gc))
+    v00 = k.gc + rs
+    n0, n1, n2 = v00 * v00, k.gs * k.gs, 2.0 * abs(rs) * d
+    total = n0 + n1 + n2
+    return n0 / total, n1 / total, n2 / total
+
+
+def qutrit_populations(p: PTParams) -> np.ndarray:
+    """(p0, p1, p2) of the embedded qutrit evolution of |0>: |V00|^2 and
+    |V10|^2 over sigma_plus^2, and the rest, which leaks into level 2. Each
+    lies in [0, 1] and they sum to 1 within 2 ulp."""
+    return np.array(_populations(p.r, kernel(p)))
+
+
 def return_probability(p: PTParams) -> float:
     """|<0|U(t)|0>|^2 where the upper block of U is V/sigma_plus."""
-    k = kernel(p)
-    rs = p.r * k.gs
-    amp = (k.gc + rs) / (k.ga + abs(rs))
-    return min(amp * amp, 1.0)
+    return _populations(p.r, kernel(p))[0]
 
 
 def _postselected(r: float, k: Kernel) -> float:

@@ -9,6 +9,8 @@ against at least one of these routes.
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 import scipy.linalg
@@ -23,23 +25,40 @@ def series_evolution(r: float, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * t * h)
 
 
-def mp_observables(r: float, t: float) -> tuple[float, float]:
-    """(return probability, postselected population) from the unscaled
-    closed forms at 60 digits; mpmath's exponent range does not overflow."""
+def _mp_kernel(r, t):
+    """(c, s) at the working precision of the caller's mpmath context."""
+    h_sq = (1 - r) * (1 + r)
+    if h_sq > 0:
+        h = mpmath.sqrt(h_sq)
+        return mpmath.cos(h * t), mpmath.sin(h * t) / h
+    if h_sq < 0:
+        kappa = mpmath.sqrt(-h_sq)
+        return mpmath.cosh(kappa * t), mpmath.sinh(kappa * t) / kappa
+    return mpmath.mpf(1), t
+
+
+def mp_observables(r: float, t: float) -> tuple[float, float, float, float]:
+    """(p0, p1, p2, postselected population) from the unscaled closed forms
+    at 60 digits; mpmath's exponent range does not overflow."""
     with mpmath.workdps(60):
         r, t = mpmath.mpf(r), mpmath.mpf(t)
-        h_sq = (1 - r) * (1 + r)
-        if h_sq > 0:
-            h = mpmath.sqrt(h_sq)
-            c, s = mpmath.cos(h * t), mpmath.sin(h * t) / h
-        elif h_sq < 0:
-            kappa = mpmath.sqrt(-h_sq)
-            c, s = mpmath.cosh(kappa * t), mpmath.sinh(kappa * t) / kappa
-        else:
-            c, s = mpmath.mpf(1), t
+        c, s = _mp_kernel(r, t)
         v00, rs = c + r * s, abs(r * s)
         sigma_plus = mpmath.sqrt(1 + rs * rs) + rs
-        return float((v00 / sigma_plus) ** 2), float(v00**2 / (v00**2 + s**2))
+        p0, p1 = (v00 / sigma_plus) ** 2, (s / sigma_plus) ** 2
+        post = v00**2 / (v00**2 + s**2)
+        return float(p0), float(p1), float(1 - p0 - p1), float(post)
+
+
+def mp_evolution(r: float, t: float) -> np.ndarray:
+    """V = c.1 - i.s.H from the unscaled closed forms; c - r.s cancels to
+    ~1/(4r^2) of c, so the precision grows with r. Entries past the float
+    range read +-inf."""
+    with mpmath.workdps(60 + 2 * max(0, int(math.log10(max(r, 1.0))))):
+        r, t = mpmath.mpf(r), mpmath.mpf(t)
+        c, s = _mp_kernel(r, t)
+        off = complex(0.0, -float(s))
+        return np.array([[float(c + r * s), off], [off, float(c - r * s)]])
 
 
 def brute_singular_values(m: np.ndarray) -> np.ndarray:

@@ -290,6 +290,16 @@ def test_run_exit_codes(tmp_path):
     assert run_cli(["run", "--config", str(tmp_path / "absent.cfg"), "--workers", "0"]) == 2
 
 
+def test_run_rejects_oversized_grid(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("an oversized grid reached the sweep")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    cfg = write_config(tmp_path, "r_steps = 10000\nt_steps = 10000\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid: ")
+
+
 def test_run_workers_byte_identical(tmp_path):
     csv_path = tmp_path / "out.csv"
     pgm_path = tmp_path / "out.pgm"

@@ -9,6 +9,7 @@ import pytest
 from conftest import haar_unitary, series_evolution
 from ptqsim.dilation import (
     Dilation,
+    DilationError,
     NormTooLarge,
     RankTooLarge,
     ShiftTooSmall,
@@ -216,3 +217,9 @@ def test_shift_equivalence_examples():
     # sigma_max overflows and exp(-mu t) underflows: mu < kappa still expands
     with pytest.raises(ShiftTooSmall):
         hamiltonian_shift_equivalence(PTParams(1.5, 1000.0), 0.8)
+    # mu > kappa = 1.118 contracts there, however far sigma_max overflows
+    assert hamiltonian_shift_equivalence(PTParams(1.5, 1000.0), 1.2) < 1e-10
+    # a valid shift whose series-summed exponential underflows to zero
+    with pytest.raises(DilationError, match="underflows") as excinfo:
+        hamiltonian_shift_equivalence(PTParams(1.5, 1000.0), 2.0)
+    assert not isinstance(excinfo.value, ShiftTooSmall)

@@ -8,6 +8,7 @@ import pytest
 
 from ptqsim.experiment import (
     DEFAULT_ION_EPSILON,
+    MAX_GRID_POINTS,
     BackendConfig,
     BackendKind,
     BadDistribution,
@@ -31,7 +32,7 @@ from ptqsim.experiment import (
 from ptqsim.dilation import qutrit_circuit
 from ptqsim.gates import Circuit, circuit_unitary, rion, rx, rz, transpile_transmon
 from ptqsim.linalg import populations
-from ptqsim.model import PTParams, return_probability
+from ptqsim.model import PTParams, qutrit_populations, return_probability
 
 # population deficit of the miscalibrated (r=0, t=pi/2) pulse: sin^2(0.01 pi)
 OVERROTATION_DEFICIT = 0.000986635785864219
@@ -110,6 +111,7 @@ def test_exact_probabilities_theory():
     assert np.allclose(probs, [0.0, 1.0, 0.0], atol=1e-12)
     probs = exact_probabilities(PTParams(0.7, 1.9), theory_backend())
     assert abs(float(probs.sum()) - 1.0) < 1e-12
+    assert np.array_equal(probs, qutrit_populations(PTParams(0.7, 1.9)))
 
 
 def test_noise_free_backends_match_theory():
@@ -257,6 +259,10 @@ def test_sweep_grid_validation():
         SweepGrid(r_min=-0.1)
     with pytest.raises(ValueError):
         SweepGrid(t_min=2.0, t_max=1.0)
+    # the point cap is checked on the step counts alone; no grid is built
+    with pytest.raises(ValueError, match="exceeds"):
+        SweepGrid(r_steps=10**4, t_steps=10**4)
+    assert SweepGrid(r_steps=MAX_GRID_POINTS, t_steps=1).r_steps == MAX_GRID_POINTS
     grid = SweepGrid(r_min=0, r_max=1, r_steps=3, t_min=0, t_max=2, t_steps=5)
     assert np.allclose(grid.r_values(), [0, 0.5, 1.0])
     assert len(grid.t_values()) == 5

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -141,6 +141,23 @@ def test_svd2_matches_brute_force(m):
     assert is_unitary(res.right, 1e-10)
     recon = res.left @ np.diag([res.sigma_plus, res.sigma_minus]) @ dag(res.right)
     assert np.max(np.abs(recon - m)) < 1e-12
+
+
+@given(complex_matrices(2), st.integers(-1000, 1000))
+@settings(deadline=None)
+def test_svd2_scale_covariance(m, k):
+    # past 2^+-512 the Gram matrix of m.2^k leaves the float range
+    biggest = float(np.max(np.abs(m)))
+    assume(biggest > 0.0)
+    # real and imaginary parts apart: complex division by a subnormal overflows
+    m = m.real / biggest + 1j * (m.imag / biggest)
+    scale = 2.0**k
+    res = svd2(m * scale)
+    plus, minus = res.sigma_plus / scale, res.sigma_minus / scale
+    brute = brute_singular_values(m)
+    assert abs(plus - brute[0]) <= 1e-12 * brute[0]
+    # eigvalsh noise ~eps.|G| is sqrt-amplified near zero, so compare squares
+    assert abs(minus**2 - brute[1] ** 2) <= 1e-12 * brute[0] ** 2
 
 
 def test_dist_examples():

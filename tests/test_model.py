@@ -12,9 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_floats, mp_observables, pt_params, series_evolution
+from conftest import (
+    finite_floats,
+    mp_evolution,
+    mp_observables,
+    pt_params,
+    series_evolution,
+)
 from ptqsim import dilation, model
-from ptqsim.linalg import I2, SIGMA_X, SIGMA_Z, expm_taylor, svd2
+from ptqsim.linalg import I2, SIGMA_X, SIGMA_Z, expm_taylor, populations, svd2
 from ptqsim.model import (
     Angles,
     LambdaTooSmall,
@@ -26,6 +32,7 @@ from ptqsim.model import (
     kernel,
     postselected_population,
     pt_symmetry_check,
+    qutrit_populations,
     rescaled_evolution,
     return_probability,
     singular_values,
@@ -42,8 +49,8 @@ NEAR_EP = st.builds(
 )
 
 # the deep broken phase, where cosh and (r s)^2 overflow unless scaled; t = 1e6
-# next to r = 1, where any series window in r alone is 2e-5 off; and r or t at
-# the top of the float range
+# next to r = 1, where any series window in r alone is 2e-5 off; r or t at
+# the top of the float range; and r >> 1, where V11 = c - r.s cancels
 PINNED_POINTS = [
     (2.0, 400.0),
     (1.5, 1000.0),
@@ -51,7 +58,12 @@ PINNED_POINTS = [
     (1.0 + 1e-9, 1e6),
     (1.0, 1e300),
     (1e200, 1.0),
+    (1e10, 1e-8),
+    (1e10, 1000.0),
 ]
+
+# 4 ulp of unit mass
+UNIT_MASS_TOL = 4.0 * 2.0**-52
 
 
 def oracle_tol(t: float) -> float:
@@ -375,8 +387,9 @@ def test_angles_is_plain_record():
 @settings(deadline=None, max_examples=300)
 def test_observables_match_mpmath(r, t):
     p = PTParams(r, t)
-    ret, post = mp_observables(r, t)
-    assert abs(return_probability(p) - ret) <= oracle_tol(t)
+    *pops, post = mp_observables(r, t)
+    assert abs(return_probability(p) - pops[0]) <= oracle_tol(t)
+    assert np.max(np.abs(qutrit_populations(p) - pops)) <= oracle_tol(t)
     assert abs(postselected_population(p) - post) <= oracle_tol(t)
 
 
@@ -386,6 +399,9 @@ def test_observables_finite_over_whole_domain(r, t):
     p = PTParams(r, t)
     assert 0.0 <= return_probability(p) <= 1.0
     assert 0.0 <= postselected_population(p) <= 1.0
+    pops = qutrit_populations(p)
+    assert np.all((pops >= 0.0) & (pops <= 1.0))
+    assert abs(float(pops.sum()) - 1.0) <= UNIT_MASS_TOL
     ang = angles(p)
     assert math.isfinite(ang.phi) and math.isfinite(ang.theta)
     assert len(dilation.qutrit_circuit(p).gates) == 3
@@ -394,13 +410,33 @@ def test_observables_finite_over_whole_domain(r, t):
 @pytest.mark.parametrize(("r", "t"), PINNED_POINTS)
 def test_observables_at_pinned_points(r, t):
     p = PTParams(r, t)
-    ret, post = mp_observables(r, t)
+    *pops, post = mp_observables(r, t)
     # past the oracle domain only r = 1 is pinned, where no phase is rounded
     tol = oracle_tol(t) if t <= 1e6 else 1e-15
-    assert abs(return_probability(p) - ret) <= tol
+    assert abs(return_probability(p) - pops[0]) <= tol
+    assert np.max(np.abs(qutrit_populations(p) - pops)) <= tol
     assert abs(postselected_population(p) - post) <= tol
     k = kernel(p)
     assert not any(math.isnan(x) for x in (k.c, k.s, k.a))  # inf is allowed
+
+
+@pytest.mark.parametrize(("r", "t"), PINNED_POINTS)
+def test_evolution_at_pinned_points(r, t):
+    # V11 reads -6.72e22 at (1e10, 1e-8) and -inf at (1e10, 1000), never 0 or NaN
+    v, want = evolution(PTParams(r, t)), mp_evolution(r, t)
+    past_range = np.isinf(want)
+    assert np.array_equal(v[past_range], want[past_range])
+    finite = ~past_range
+    assert np.all(np.abs(v[finite] - want[finite]) <= 1e-13 * np.abs(want[finite]))
+
+
+@given(pt_params())
+@settings(deadline=None, max_examples=200)
+def test_qutrit_populations_match_gate_product(p):
+    pops = qutrit_populations(p)
+    assert np.max(np.abs(pops - populations(dilation.qutrit_unitary(p)[:, 0]))) < 1e-13
+    assert abs(float(pops.sum()) - 1.0) <= UNIT_MASS_TOL
+    assert float(pops.min()) >= 0.0
 
 
 def test_one_kernel_evaluation_per_call(monkeypatch):
@@ -421,6 +457,7 @@ def test_one_kernel_evaluation_per_call(monkeypatch):
             "singular_values": lambda: singular_values(p),
             "angles": lambda: angles(p),
             "return_probability": lambda: return_probability(p),
+            "qutrit_populations": lambda: qutrit_populations(p),
             "postselected_population": lambda: postselected_population(p),
             "success_probability": lambda: success_probability(p, psi),
             "rescaled_evolution": lambda: rescaled_evolution(p, 100.0),
