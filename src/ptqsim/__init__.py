@@ -25,15 +25,16 @@ from .experiment import (
     BackendConfig,
     BackendKind,
     ConfusionMatrix,
-    EmptyPostselection,
     ExperimentPoint,
     SweepGrid,
+    SweepResult,
     default_backend,
     estimate_confusion,
     exact_probabilities,
     identity_confusion,
     load_confusion,
     miscalibrate,
+    postselect_ratios,
     run_point,
     sample_counts,
     sweep,

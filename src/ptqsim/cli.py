@@ -4,10 +4,13 @@ circuit transpilation, and randomized dilation spot checks."""
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +19,11 @@ from .dilation import DilationError, general_dilation
 from .experiment import (
     BackendConfig,
     BackendKind,
-    ExperimentPoint,
     SweepGrid,
+    SweepResult,
     default_backend,
     load_confusion,
+    postselect_ratios,
     sweep,
 )
 from .gates import (
@@ -220,34 +224,44 @@ def build_backend(cfg: RunConfig) -> BackendConfig:
         raise ValidationError(str(exc)) from None
 
 
+# rows per CSV block: the CSV is formatted and written a block at a time
+CSV_BLOCK_ROWS = 2048
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def render_csv(points: list[ExperimentPoint], backend: BackendConfig) -> str:
+def render_csv(points: SweepResult, backend: BackendConfig, start: int, stop: int) -> str:
+    """CSV lines of points start..stop, led by the header when start is 0."""
+    rows = slice(start, stop)
+    p = points.p_exact[rows]
     header = "r,t,backend,p0,p1,p2,p0_raw,p0_postselected,kept,shots,seed"
-    is_ion = backend.kind is BackendKind.ION
-    if is_ion:
+    columns = [
+        map(_fmt, points.r[rows].tolist()),
+        map(_fmt, points.t[rows].tolist()),
+        repeat(backend.kind.value),
+        map(_fmt, p[:, 0].tolist()),
+        map(_fmt, p[:, 1].tolist()),
+        map(_fmt, p[:, 2].tolist()),
+        map(_fmt, points.p0_raw[rows].tolist()),
+        ("" if math.isnan(x) else _fmt(x) for x in points.p0_postselected[rows].tolist()),
+        map(str, points.postselect_kept[rows].tolist()),
+        repeat(str(backend.shots)),
+        repeat(str(backend.seed)),
+    ]
+    if points.ion is not None:
         header += ",ion"
-    lines = [header]
-    for pt in points:
-        fields = [
-            _fmt(pt.r),
-            _fmt(pt.t),
-            backend.kind.value,
-            _fmt(float(pt.p_exact[0])),
-            _fmt(float(pt.p_exact[1])),
-            _fmt(float(pt.p_exact[2])),
-            _fmt(pt.p0_raw),
-            "" if pt.p0_postselected is None else _fmt(pt.p0_postselected),
-            str(pt.postselect_kept),
-            str(backend.shots),
-            str(backend.seed),
-        ]
-        if is_ion:
-            fields.append(str(pt.ion))
-        lines.append(",".join(fields))
+        columns.append(map(str, points.ion[rows].tolist()))
+    lines = [",".join(fields) for fields in zip(*columns)]
+    if start == 0:
+        lines.insert(0, header)
     return "\n".join(lines) + "\n"
+
+
+def _csv_blocks(points: SweepResult, backend: BackendConfig) -> Iterator[str]:
+    for start in range(0, max(len(points), 1), CSV_BLOCK_ROWS):
+        yield render_csv(points, backend, start, start + CSV_BLOCK_ROWS)
 
 
 @dataclass(frozen=True)
@@ -258,37 +272,30 @@ class HeatmapImage:
     missing: tuple[tuple[int, int], ...]  # (r_index, t_index) of absent values
 
 
-def _point_value(
-    pt: ExperimentPoint, backend: BackendConfig, observable: Observable
-) -> float | None:
-    exact_like = backend.kind is BackendKind.THEORY or backend.exact
-    if observable is Observable.RETURN_PROB:
-        return float(pt.p_exact[0]) if exact_like else pt.p0_raw
-    if exact_like:
-        kept = float(pt.p_exact[0]) + float(pt.p_exact[1])
-        return float(pt.p_exact[0]) / kept if kept > 0.0 else None
-    return pt.p0_postselected
-
-
 def render_heatmap(
     grid: SweepGrid,
     backend: BackendConfig,
     observable: Observable,
-    points: list[ExperimentPoint],
+    points: SweepResult,
 ) -> HeatmapImage:
-    width, height = grid.t_steps, grid.r_steps
-    pixels = np.zeros((height, width), dtype=np.uint8)
-    missing: list[tuple[int, int]] = []
-    for i_r in range(height):
-        row = height - 1 - i_r
-        for i_t in range(width):
-            value = _point_value(points[i_r * width + i_t], backend, observable)
-            if value is None:
-                missing.append((i_r, i_t))
-                pixels[row, i_t] = 0
-            else:
-                pixels[row, i_t] = int(round(255.0 * min(max(value, 0.0), 1.0)))
-    return HeatmapImage(width=width, height=height, pixels=pixels, missing=tuple(missing))
+    exact_like = backend.kind is BackendKind.THEORY or backend.exact
+    if observable is Observable.RETURN_PROB:
+        values = points.p_exact[:, 0] if exact_like else points.p0_raw
+    elif exact_like:
+        values = postselect_ratios(points.p_exact[:, 0], points.p_exact[:, 1])
+    else:
+        values = points.p0_postselected
+    values = values.reshape(grid.r_steps, grid.t_steps)
+    missing = np.isnan(values)
+    # np.rint rounds half to even, as round() does
+    levels = np.rint(255.0 * np.clip(values, 0.0, 1.0))
+    levels[missing] = 0.0
+    return HeatmapImage(
+        width=grid.t_steps,
+        height=grid.r_steps,
+        pixels=levels.astype(np.uint8)[::-1],
+        missing=tuple(map(tuple, np.argwhere(missing).tolist())),
+    )
 
 
 def format_pgm(img: HeatmapImage, metadata: str) -> str:
@@ -297,8 +304,8 @@ def format_pgm(img: HeatmapImage, metadata: str) -> str:
         lines.append(f"# {metadata}")
     lines.append(f"{img.width} {img.height}")
     lines.append("255")
-    for row in img.pixels:
-        lines.append(" ".join(str(int(v)) for v in row))
+    for row in img.pixels.tolist():
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -306,21 +313,20 @@ def _confusion_label(backend: BackendConfig) -> str:
     return backend.confusion.label if backend.confusion is not None else "identity"
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+def _write_text(path: str, text: str, append: bool = False) -> None:
+    with open(path, "a" if append else "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
 
 
-def write_outputs(
-    cfg: RunConfig, backend: BackendConfig, points: list[ExperimentPoint]
-) -> None:
+def write_outputs(cfg: RunConfig, backend: BackendConfig, points: SweepResult) -> None:
     """Write the CSV and, when configured, the PGM heatmap with a `.mask`
     sidecar listing its missing points; a mask left by an earlier run is
     removed when no point is missing. Every artifact is rendered and written
     to a temp file beside its target before any target is replaced, so a
     failed write leaves the earlier artifacts as they were (OSError
-    propagates to the caller)."""
-    texts = {cfg.output_csv: render_csv(points, backend)}
+    propagates to the caller). The CSV is rendered and written a block of
+    rows at a time."""
+    texts: dict[str, Iterable[str]] = {cfg.output_csv: _csv_blocks(points, backend)}
     stale_mask = None
     if cfg.output_pgm is not None:
         metadata = (
@@ -329,16 +335,17 @@ def write_outputs(
             f" seed={backend.seed} rows=r_max..r_min cols=t_min..t_max"
         )
         img = render_heatmap(cfg.grid, backend, cfg.observable, points)
-        texts[cfg.output_pgm] = format_pgm(img, metadata)
+        texts[cfg.output_pgm] = [format_pgm(img, metadata)]
         mask_path = cfg.output_pgm + ".mask"
         if img.missing:
-            texts[mask_path] = "".join(f"{i_r} {i_t}\n" for i_r, i_t in img.missing)
+            texts[mask_path] = ["".join(f"{i_r} {i_t}\n" for i_r, i_t in img.missing)]
         else:
             stale_mask = mask_path
     temps = {path: f"{path}.{os.getpid()}.tmp" for path in texts}
     try:
-        for path, text in texts.items():
-            _write_text(temps[path], text)
+        for path, blocks in texts.items():
+            for i, text in enumerate(blocks):
+                _write_text(temps[path], text, append=i > 0)
         for path, temp in temps.items():
             os.replace(temp, path)
     finally:

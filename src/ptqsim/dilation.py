@@ -14,7 +14,7 @@ import numpy as np
 
 from .gates import Circuit, circuit_unitary, rx
 from .linalg import dag, expm_taylor, is_unitary
-from .model import PTParams, _angles, _postselected, _root, hamiltonian, kernel
+from .model import PTParams, _angles, _postselected, hamiltonian, kernel
 
 SIZE_CAP = 16
 
@@ -144,13 +144,9 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
     cannot see; the gap is pure numerical error.
     """
     k = kernel(p)
-    # log(exp(-mu t).sigma_plus), with sigma_plus = sigma_hat/g; past r = 1,
-    # g = exp(-kappa t) and (kappa - mu) t holds where sigma_plus overflows
-    log_norm = math.log(k.ga + abs(p.r * k.gs))
-    if p.r > 1.0:
-        log_norm += (_root(p.r) - mu) * p.t
-    else:
-        log_norm -= math.log(k.g) + mu * p.t
+    # log(exp(-mu t).sigma_plus), with sigma_plus = sigma_hat/g, holds where
+    # sigma_plus overflows
+    log_norm = math.log(k.ga + abs(p.r * k.gs)) - k.log_g - mu * p.t
     if not log_norm <= 1e-12:
         raise ShiftTooSmall(
             f"log(exp(-mu t).sigma_max) = {log_norm:.6g} exceeds 0; "

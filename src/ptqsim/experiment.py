@@ -11,6 +11,7 @@ on its grid position.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,16 +25,13 @@ from .model import PTParams, qutrit_populations
 DEFAULT_ION_EPSILON = (0.02, -0.015, 0.01, -0.02, 0.005)
 DEFAULT_ION_DIAGONAL = 0.97
 DEFAULT_TRANSMON_DIAGONAL = 0.876
-# a sweep holds one record per point; a typo in a step count must not grow it
+# a sweep holds about 100 bytes of columns per point; a typo in a step count
+# must not grow it
 MAX_GRID_POINTS = 10**7
 
 
 class BadDistribution(ValueError):
     """Probability vector with a genuinely negative or non-normalized entry."""
-
-
-class EmptyPostselection(RuntimeError):
-    """No shots landed in the (0,1) subspace."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +209,10 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return _rng(seed).multinomial(int(shots), clean)
 
 
-def postselect_ratio(counts: np.ndarray) -> float:
-    kept = int(counts[0]) + int(counts[1])
-    if kept == 0:
-        raise EmptyPostselection("no outcomes in the (0,1) subspace")
-    return int(counts[0]) / kept
+def postselect_ratios(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """first / (first + second) elementwise; NaN where the sum is 0."""
+    kept = first + second
+    return np.divide(first, kept, out=np.full(kept.shape, np.nan), where=kept > 0)
 
 
 def _round_counts(probs: np.ndarray, shots: int) -> np.ndarray:
@@ -240,38 +237,93 @@ class ExperimentPoint:
     ion: int | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Read-only columns over N grid points; indexing and iteration yield
+    `ExperimentPoint` records built on demand. p_exact and counts are (N, 3);
+    p0_postselected is NaN where no shot is kept; ion is None unless the
+    backend is ion."""
+
+    r: np.ndarray
+    t: np.ndarray
+    p_exact: np.ndarray
+    counts: np.ndarray
+    p0_raw: np.ndarray
+    p0_postselected: np.ndarray
+    postselect_kept: np.ndarray
+    ion: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        for column in vars(self).values():
+            if column is not None:
+                column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, i: int) -> ExperimentPoint:
+        n = len(self.r)
+        if not -n <= i < n:
+            raise IndexError(f"point {i} outside a sweep of {n} points")
+        post = float(self.p0_postselected[i])
+        return ExperimentPoint(
+            r=float(self.r[i]),
+            t=float(self.t[i]),
+            p_exact=self.p_exact[i],
+            counts=self.counts[i],
+            p0_raw=float(self.p0_raw[i]),
+            p0_postselected=None if math.isnan(post) else post,
+            postselect_kept=int(self.postselect_kept[i]),
+            ion=None if self.ion is None else int(self.ion[i]),
+        )
+
+    def __iter__(self) -> Iterator[ExperimentPoint]:
+        return map(self.__getitem__, range(len(self.r)))
+
+
+def _emulate(
+    backend: BackendConfig, points: Iterable[tuple[PTParams, int, int, int]], n: int
+) -> SweepResult:
+    """Emulate n points given as (params, ion index, i_r, i_t). Each point's
+    counts come from its own stream, keyed by (seed, i_r, i_t), or from
+    largest-remainder rounding in exact mode."""
+    r, t = np.empty(n), np.empty(n)
+    ion = np.empty(n, dtype=np.int64)
+    p_exact = np.empty((n, 3))
+    counts = np.empty((n, 3), dtype=np.int64)
+    for i, (p, ion_index, i_r, i_t) in enumerate(points):
+        probs = exact_probabilities(p, backend, ion_index)
+        r[i], t[i], ion[i], p_exact[i] = p.r, p.t, ion_index, probs
+        if backend.exact:
+            counts[i] = _round_counts(probs, backend.shots)
+        else:
+            point_seed = derive_seed(backend.seed, 0, i_r, i_t)
+            counts[i] = sample_counts(probs, backend.shots, point_seed)
+    # element-wise float divisions give the same IEEE results as the scalar
+    # int / int and float / float divisions of a point at a time
+    shares = p_exact if backend.exact else counts
+    return SweepResult(
+        r=r,
+        t=t,
+        p_exact=p_exact,
+        counts=counts,
+        p0_raw=p_exact[:, 0] if backend.exact else counts[:, 0] / backend.shots,
+        p0_postselected=postselect_ratios(shares[:, 0], shares[:, 1]),
+        postselect_kept=counts[:, 0] + counts[:, 1],
+        ion=ion if backend.kind is BackendKind.ION else None,
+    )
+
+
 def run_point(
     p: PTParams,
     backend: BackendConfig,
     ion_index: int = 0,
     grid_key: tuple[int, int] = (0, 0),
 ) -> ExperimentPoint:
+    """One point of `sweep`: the grid indices in grid_key key its stream."""
     if backend.kind is BackendKind.ION and not 0 <= ion_index < backend.ion_count:
         raise ValueError(f"ion_index {ion_index} outside 0..{backend.ion_count - 1}")
-    probs = exact_probabilities(p, backend, ion_index)
-    if backend.exact:
-        counts = _round_counts(probs, backend.shots)
-        p0_raw = float(probs[0])
-        subspace = float(probs[0]) + float(probs[1])
-        p0_post = float(probs[0]) / subspace if subspace > 0.0 else None
-    else:
-        point_seed = derive_seed(backend.seed, 0, grid_key[0], grid_key[1])
-        counts = sample_counts(probs, backend.shots, point_seed)
-        p0_raw = int(counts[0]) / backend.shots
-        try:
-            p0_post = postselect_ratio(counts)
-        except EmptyPostselection:
-            p0_post = None
-    return ExperimentPoint(
-        r=p.r,
-        t=p.t,
-        p_exact=probs,
-        counts=counts,
-        p0_raw=p0_raw,
-        p0_postselected=p0_post,
-        postselect_kept=int(counts[0]) + int(counts[1]),
-        ion=ion_index if backend.kind is BackendKind.ION else None,
-    )
+    return _emulate(backend, [(p, ion_index, *grid_key)], 1)[0]
 
 
 @dataclass(frozen=True)
@@ -306,21 +358,18 @@ class SweepGrid:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
 
 
-def sweep(grid: SweepGrid, backend: BackendConfig) -> list[ExperimentPoint]:
+def sweep(grid: SweepGrid, backend: BackendConfig) -> SweepResult:
     """Inclusive uniform grid in r-major order; the ion assignment (one ion
     per t column) and the per-point random stream depend only on grid
     indices."""
     ions = backend.ion_count if backend.kind is BackendKind.ION else 1
-    return [
-        run_point(
-            PTParams(float(r), float(t)),
-            backend,
-            ion_index=i_t % ions,
-            grid_key=(i_r, i_t),
-        )
-        for i_r, r in enumerate(grid.r_values())
-        for i_t, t in enumerate(grid.t_values())
-    ]
+    r_values, t_values = grid.r_values().tolist(), grid.t_values().tolist()
+    points = (
+        (PTParams(r, t), i_t % ions, i_r, i_t)
+        for i_r, r in enumerate(r_values)
+        for i_t, t in enumerate(t_values)
+    )
+    return _emulate(backend, points, len(r_values) * len(t_values))
 
 
 def estimate_confusion(

@@ -33,26 +33,48 @@ class PTParams:
             raise ValueError("r and t must be nonnegative")
 
 
-def _unscale(x: float, g: float) -> float:
-    """x / g, or x.inf once g has underflowed to 0."""
-    return x / g if g else x * math.inf
+# smallest normal float, and the smallest g whose square is normal
+_TINY = 2.0**-1022
+_SQRT_TINY = 2.0**-511
+_LN2 = math.log(2.0)
+
+
+def _exp(y: float) -> float:
+    """e^y, or inf where it overflows."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
+def _unscale(x: float, g: float, log_g: float) -> float:
+    """x / g. Once g = e^{-kappa t} is subnormal or 0 it has lost its digits,
+    and x is multiplied by 1/g = q^4 with q = e^{-log_g / 4}: the quarter is
+    exact, and q stays finite wherever x / g can."""
+    if g >= _TINY:
+        return x / g
+    if x == 0.0:
+        return x
+    q = _exp(-0.25 * log_g)
+    return x * q * q * q * q
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """(c, s, a) = (gc, gs, ga) / g. The scale g is e^{-kappa t} past r = 1,
-    a power of two at r = 1 and 1 below it, so the scaled values are finite
-    everywhere; the unscaled ones are inf past kappa t ~ 710."""
+    """(c, s, a) = (gc, gs, ga) / g. The scale g = e^{log_g} is e^{-kappa t}
+    past r = 1, a power of two at r = 1 and 1 below it, so the scaled values
+    are finite everywhere; the unscaled ones are inf where they overflow."""
 
     h_sq: float
     g: float
+    log_g: float
     gc: float
     gs: float
     ga: float
 
-    c = property(lambda k: _unscale(k.gc, k.g))
-    s = property(lambda k: _unscale(k.gs, k.g))
-    a = property(lambda k: _unscale(k.ga, k.g))
+    c = property(lambda k: _unscale(k.gc, k.g, k.log_g))
+    s = property(lambda k: _unscale(k.gs, k.g, k.log_g))
+    a = property(lambda k: _unscale(k.ga, k.g, k.log_g))
 
 
 @dataclass(frozen=True)
@@ -108,16 +130,18 @@ def kernel(p: PTParams) -> Kernel:
     r, t = p.r, p.t
     h = _root(r)
     if r < 1.0:
-        g, c, s = 1.0, math.cos(h * t), math.sin(h * t) / h
+        g, log_g, c, s = 1.0, 0.0, math.cos(h * t), math.sin(h * t) / h
     elif r > 1.0:
-        g = math.exp(-h * t)
+        log_g = -h * t
+        g = math.exp(log_g)
         c = 0.5 * (1.0 + g * g)
         s = -0.5 * math.expm1(-2.0 * (h * t)) / h
     else:
-        g = 0.5 ** max(math.frexp(t)[1], 0)  # exact, and keeps r.s below 1
-        c, s = g, t * g
+        # a normal power of two: exact, and keeps r.s below 4
+        g = 0.5 ** min(max(math.frexp(t)[1], 0), 1022)
+        log_g, c, s = math.log(g), g, t * g
     rs = r * s
-    return Kernel((1.0 - r) * (1.0 + r), g, c, s, math.sqrt(g * g + rs * rs))
+    return Kernel((1.0 - r) * (1.0 + r), g, log_g, c, s, math.sqrt(g * g + rs * rs))
 
 
 def _evolution(r: float, k: Kernel, scaled: bool = False) -> np.ndarray:
@@ -133,9 +157,14 @@ def _evolution(r: float, k: Kernel, scaled: bool = False) -> np.ndarray:
         kappa = _root(r)
         minus = k.g * k.g * (0.5 + 0.5 * r / kappa) - 0.5 / kappa / (kappa + r)
     if not scaled:
-        # V11 < 0 once g underflows; like c and s, it then reads as inf
-        minus = minus / k.g if k.g else -math.inf
-        plus, s = _unscale(plus, k.g), _unscale(s, k.g)
+        if r > 2.0 and k.g < _SQRT_TINY:
+            # g^2 underflows above: V11 = g (kappa + r)/(2 kappa) - b/g, with
+            # log b = -log(2 kappa (kappa + r)) taken apart so it cannot overflow
+            log_b = -(_LN2 + math.log(kappa) + math.log(r) + math.log1p(kappa / r))
+            minus = k.g * (0.5 + 0.5 * r / kappa) - _exp(log_b - k.log_g)
+        else:
+            minus = _unscale(minus, k.g, k.log_g)
+        plus, s = _unscale(plus, k.g, k.log_g), _unscale(s, k.g, k.log_g)
     return np.array([[plus, complex(0.0, -s)], [complex(0.0, -s), minus]])
 
 
@@ -146,7 +175,7 @@ def evolution(p: PTParams) -> np.ndarray:
 
 def _singular_pair(r: float, k: Kernel) -> SingularPair:
     scaled = k.ga + abs(r * k.gs)
-    sigma_plus, sigma_minus = _unscale(scaled, k.g), k.g / scaled
+    sigma_plus, sigma_minus = _unscale(scaled, k.g, k.log_g), k.g / scaled
     return SingularPair(sigma_plus, sigma_minus, sigma_minus / sigma_plus)
 
 

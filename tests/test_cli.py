@@ -12,7 +12,7 @@ import pytest
 from conftest import mp_observables
 from ptqsim import cli
 from ptqsim.dilation import qutrit_circuit
-from ptqsim.experiment import BackendKind, SweepGrid
+from ptqsim.experiment import BackendKind, SweepGrid, sweep
 from ptqsim.gates import GateKind, format_circuit, parse_circuit, rx
 from ptqsim.model import PTParams, return_probability
 
@@ -242,6 +242,91 @@ def test_run_failed_write_keeps_earlier_outputs(tmp_path):
     assert run_cli(["run", "--config", str(bad)]) == 1
     assert {path: path.read_bytes() for path in before} == before
     assert sorted(tmp_path.iterdir()) == sorted(names + [bad])
+
+
+def reference_csv(points, backend):
+    """The CSV rendered a record at a time with %.12g."""
+    is_ion = backend.kind is BackendKind.ION
+    header = "r,t,backend,p0,p1,p2,p0_raw,p0_postselected,kept,shots,seed"
+    lines = [header + (",ion" if is_ion else "")]
+    for pt in points:
+        post = pt.p0_postselected
+        fields = ["%.12g" % pt.r, "%.12g" % pt.t, backend.kind.value]
+        fields += ["%.12g" % x for x in (*pt.p_exact, pt.p0_raw)]
+        fields += ["" if post is None else "%.12g" % post, str(pt.postselect_kept)]
+        fields += [str(backend.shots), str(backend.seed)]
+        if is_ion:
+            fields.append(str(pt.ion))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def reference_heatmap(points, grid, backend, observable):
+    """(pixels, mask text) built a record at a time."""
+    exact_like = backend.kind is BackendKind.THEORY or backend.exact
+    pixels = np.zeros((grid.r_steps, grid.t_steps), dtype=int)
+    mask = ""
+    for i_r in range(grid.r_steps):
+        for i_t in range(grid.t_steps):
+            pt = points[i_r * grid.t_steps + i_t]
+            p0, p1 = float(pt.p_exact[0]), float(pt.p_exact[1])
+            if observable == "return_prob":
+                value = p0 if exact_like else pt.p0_raw
+            elif exact_like:
+                value = p0 / (p0 + p1) if p0 + p1 > 0.0 else None
+            else:
+                value = pt.p0_postselected
+            if value is None:
+                mask += f"{i_r} {i_t}\n"
+            else:
+                level = round(255.0 * min(max(value, 0.0), 1.0))
+                pixels[grid.r_steps - 1 - i_r, i_t] = level
+    return pixels, mask
+
+
+@pytest.mark.parametrize("block_rows", [1, 8, 34, 35, cli.CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("backend", ["theory", "ion", "transmon"])
+@pytest.mark.parametrize("observable", ["return_prob", "postselected"])
+def test_run_streams_csv_blocks(tmp_path, monkeypatch, block_rows, backend, observable):
+    # 35 points: blocks of 1, 8 (a short last block), 34, 35 and the default
+    csv_path, pgm_path = tmp_path / "out.csv", tmp_path / "out.pgm"
+    cfg_path = write_config(
+        tmp_path,
+        f"backend = {backend}\nshots = 2\nseed = 11\nobservable = {observable}\n"
+        "r_steps = 5\nr_max = 1.8\nt_steps = 7\nt_max = 4.0\n"
+        f"output_csv = {csv_path}\noutput_pgm = {pgm_path}\n",
+    )
+    writes = []
+    real_write = cli._write_text
+
+    def recorded(path, text, append=False):
+        writes.append((path, text, append))
+        real_write(path, text, append)
+
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "_write_text", recorded)
+    assert run_cli(["run", "--config", str(cfg_path)]) == 0
+
+    cfg = cli.parse_config(cfg_path.read_text())
+    backend_cfg = cli.build_backend(cfg)
+    points = list(sweep(cfg.grid, backend_cfg))
+    text = csv_path.read_text()
+    assert text == reference_csv(points, backend_cfg)
+    csv_writes = [(t, a) for p, t, a in writes if p.startswith(str(csv_path) + ".")]
+    # one str per block, the first truncating the temp file; together the file
+    assert [a for _, a in csv_writes] == [False] + [True] * (len(csv_writes) - 1)
+    assert len(csv_writes) == -(-len(points) // block_rows)
+    assert all(type(t) is str for t, _ in csv_writes)
+    assert "".join(t for t, _ in csv_writes) == text
+
+    pixels, mask = reference_heatmap(points, cfg.grid, backend_cfg, observable)
+    assert np.array_equal(read_pgm(pgm_path), pixels)
+    mask_path = tmp_path / "out.pgm.mask"
+    assert (mask_path.read_text() if mask_path.exists() else "") == mask
+    if backend == "transmon" and observable == "postselected":
+        assert mask  # two shots miss the (0,1) subspace somewhere
+    if backend != "theory":
+        assert any(pt.p0_postselected is None for pt in points)
 
 
 def test_run_deep_broken_phase(tmp_path):

@@ -13,9 +13,10 @@ from ptqsim.experiment import (
     BackendKind,
     BadDistribution,
     ConfusionMatrix,
-    EmptyPostselection,
     ExperimentPoint,
     SweepGrid,
+    SweepResult,
+    _round_counts,
     default_backend,
     derive_seed,
     estimate_confusion,
@@ -23,7 +24,7 @@ from ptqsim.experiment import (
     identity_confusion,
     load_confusion,
     miscalibrate,
-    postselect_ratio,
+    postselect_ratios,
     run_point,
     sample_counts,
     sweep,
@@ -201,10 +202,10 @@ def test_sample_counts_law_of_large_numbers():
     assert counts[2] == 0
 
 
-def test_postselect_ratio():
-    assert postselect_ratio(np.array([3, 1, 4])) == 0.75
-    with pytest.raises(EmptyPostselection):
-        postselect_ratio(np.array([0, 0, 9]))
+def test_postselect_ratios():
+    # counts (3, 1, 4) and (0, 0, 9): the second keeps no shot
+    ratios = postselect_ratios(np.array([3, 0]), np.array([1, 0]))
+    assert ratios[0] == 0.75 and math.isnan(ratios[1])
 
 
 def test_run_point_exact_mode_matches_closed_form():
@@ -327,3 +328,107 @@ def test_experiment_point_is_value_like():
     assert isinstance(pt, ExperimentPoint)
     assert pt.r == 0.3 and pt.t == 0.7
     assert pt.counts.sum() == 512
+
+
+LEAKY = ConfusionMatrix(
+    np.array([[0.1, 0.05, 0.0], [0.05, 0.1, 0.0], [0.85, 0.85, 1.0]]), label="leaky"
+)
+SINK = ConfusionMatrix(np.array([[0.0, 0, 0], [0, 0, 0], [1, 1, 1.0]]), label="sink")
+
+
+def reference_points(grid, backend):
+    """The sweep rebuilt a point at a time from its public parts."""
+    is_ion = backend.kind is BackendKind.ION
+    ions = backend.ion_count if is_ion else 1
+    points = []
+    for i_r, r in enumerate(grid.r_values()):
+        for i_t, t in enumerate(grid.t_values()):
+            p = PTParams(float(r), float(t))
+            probs = exact_probabilities(p, backend, i_t % ions)
+            if backend.exact:
+                counts = _round_counts(probs, backend.shots)
+                p0_raw = float(probs[0])
+                mass = float(probs[0]) + float(probs[1])
+                post = float(probs[0]) / mass if mass > 0.0 else None
+            else:
+                seed = derive_seed(backend.seed, 0, i_r, i_t)
+                counts = sample_counts(probs, backend.shots, seed)
+                p0_raw = int(counts[0]) / backend.shots
+                kept = int(counts[0]) + int(counts[1])
+                post = int(counts[0]) / kept if kept else None
+            kept = int(counts[0]) + int(counts[1])
+            ion = i_t % ions if is_ion else None
+            points.append(ExperimentPoint(p.r, p.t, probs, counts, p0_raw, post, kept, ion))
+    return points
+
+
+def assert_same_point(got, want):
+    scalars = ("r", "t", "p0_raw", "p0_postselected", "postselect_kept", "ion")
+    assert [getattr(got, f) for f in scalars] == [getattr(want, f) for f in scalars]
+    # records hold plain Python scalars, as a point-at-a-time sweep did
+    assert [type(getattr(got, f)) for f in scalars] == [type(getattr(want, f)) for f in scalars]
+    assert np.array_equal(got.p_exact, want.p_exact)
+    assert np.array_equal(got.counts, want.counts) and got.counts.dtype == np.int64
+
+
+SWEEP_BACKENDS = {
+    "theory": lambda seed: theory_backend(seed),
+    "theory-exact": lambda seed: theory_backend(seed, exact=True),
+    "ion": lambda seed: default_backend(BackendKind.ION, seed),
+    "ion-leaky": lambda seed: BackendConfig(
+        kind=BackendKind.ION, shots=4, confusion=LEAKY, ion_count=3,
+        epsilon=DEFAULT_ION_EPSILON, seed=seed,
+    ),
+    "transmon": lambda seed: default_backend(BackendKind.TRANSMON, seed),
+    "transmon-exact": lambda seed: BackendConfig(
+        kind=BackendKind.TRANSMON, shots=100, confusion=LEAKY, seed=seed, exact=True
+    ),
+    "sink": lambda seed: BackendConfig(kind=BackendKind.ION, shots=8, confusion=SINK, seed=seed),
+    "sink-exact": lambda seed: BackendConfig(
+        kind=BackendKind.TRANSMON, confusion=SINK, seed=seed, exact=True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_BACKENDS))
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_sweep_matches_point_reference(name, seed):
+    grid = SweepGrid(r_min=0.0, r_max=1.8, r_steps=5, t_min=0.0, t_max=4.0, t_steps=7)
+    backend = SWEEP_BACKENDS[name](seed)
+    result = sweep(grid, backend)
+    want = reference_points(grid, backend)
+    assert isinstance(result, SweepResult) and len(result) == len(want) == 35
+    for got, ref in zip(result, want):
+        assert_same_point(got, ref)
+    if name.startswith("sink"):
+        assert all(pt.p0_postselected is None for pt in result)
+    if name == "ion-leaky":
+        # some points keep shots in the (0,1) subspace and some keep none
+        assert len({pt.p0_postselected is None for pt in result}) == 2
+
+
+def test_sweep_result_columns_and_indexing():
+    grid = SweepGrid(r_min=0.0, r_max=1.8, r_steps=5, t_min=0.0, t_max=4.0, t_steps=7)
+    backend = SWEEP_BACKENDS["ion-leaky"](3)
+    result = sweep(grid, backend)
+    n = len(result)
+    assert result.p_exact.shape == result.counts.shape == (n, 3)
+    assert result.counts.dtype == np.int64
+    for column in (result.r, result.t, result.p0_raw, result.p0_postselected,
+                   result.postselect_kept, result.ion):
+        assert column.shape == (n,) and not column.flags.writeable
+    assert np.array_equal(np.isnan(result.p0_postselected), result.postselect_kept == 0)
+    assert sweep(grid, theory_backend()).ion is None
+    for i in (0, 1, n - 1):
+        assert_same_point(result[i - n], result[i])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            result[i]
+    assert len(list(result)) == n
+    for i, pt in enumerate(result):
+        assert_same_point(pt, result[i])
+        i_r, i_t = divmod(i, grid.t_steps)
+        single = run_point(
+            PTParams(pt.r, pt.t), backend, ion_index=i_t % 3, grid_key=(i_r, i_t)
+        )
+        assert_same_point(single, pt)

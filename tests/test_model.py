@@ -60,6 +60,9 @@ PINNED_POINTS = [
     (1e200, 1.0),
     (1e10, 1e-8),
     (1e10, 1000.0),
+    (1e300, 1e-297),
+    (1e200, 5e-198),
+    (1e300, 1e-296),
 ]
 
 # 4 ulp of unit mass
@@ -422,7 +425,11 @@ def test_observables_at_pinned_points(r, t):
 
 @pytest.mark.parametrize(("r", "t"), PINNED_POINTS)
 def test_evolution_at_pinned_points(r, t):
-    # V11 reads -6.72e22 at (1e10, 1e-8) and -inf at (1e10, 1000), never 0 or NaN
+    # V11 reads -6.72e22 at (1e10, 1e-8) and -inf at (1e10, 1000), never 0 or
+    # NaN. At (1e300, 1e-297) kappa t = 1000 puts g = e^{-kappa t} below the
+    # float range, yet V01 = -9.85e133 i and V11 = -4.93e-167 are finite; at
+    # (1e200, 5e-198) V11 = -3.51e-184 although g^2 underflows; at
+    # (1e300, 1e-296) every entry is past the range
     v, want = evolution(PTParams(r, t)), mp_evolution(r, t)
     past_range = np.isinf(want)
     assert np.array_equal(v[past_range], want[past_range])
