@@ -17,6 +17,7 @@ import numpy as np
 
 from .dilation import DilationError, general_dilation
 from .experiment import (
+    MAX_SHOTS,
     BackendConfig,
     BackendKind,
     SweepGrid,
@@ -144,8 +145,10 @@ def parse_config(text: str) -> RunConfig:
             ) from None
     if "shots" in raw:
         shots = int(number("shots", int))
-        if shots < 1:
-            raise ValidationError(f"line {raw['shots'][0]}: shots must be >= 1")
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ValidationError(
+                f"line {raw['shots'][0]}: shots must be in 1..2**63 - 1"
+            )
         cfg.shots = shots
     if "seed" in raw:
         seed = int(number("seed", int))
@@ -185,7 +188,7 @@ def parse_config(text: str) -> RunConfig:
             eps = tuple(float(x) for x in value.split(","))
         except ValueError:
             raise ParseError(f"line {ln}: epsilon must be a comma list of reals") from None
-        if any(abs(e) >= 0.5 for e in eps):
+        if not all(abs(e) < 0.5 for e in eps):
             raise ValidationError(f"line {ln}: epsilon entries must satisfy |e| < 0.5")
         cfg.epsilon = eps
     if "confusion_file" in raw:

@@ -14,6 +14,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, islice
 
 import numpy as np
 
@@ -28,6 +29,11 @@ DEFAULT_TRANSMON_DIAGONAL = 0.876
 # a sweep holds about 100 bytes of columns per point; a typo in a step count
 # must not grow it
 MAX_GRID_POINTS = 10**7
+# the largest shot count numpy's multinomial draw takes (int64)
+MAX_SHOTS = 2**63 - 1
+# points whose stream ids are derived together: bounds the transient memory
+# of a sweep for every grid shape
+SEED_BLOCK = 1024
 
 
 class BadDistribution(ValueError):
@@ -84,6 +90,11 @@ def load_confusion(text: str, label: str = "file") -> ConfusionMatrix:
     return ConfusionMatrix(np.array(values).reshape(3, 3), label=label)
 
 
+def _check_shots(name: str, shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"{name} must be in 1..2**63 - 1")
+
+
 class BackendKind(Enum):
     THEORY = "theory"
     ION = "ion"
@@ -101,11 +112,10 @@ class BackendConfig:
     exact: bool = False  # report exact probabilities instead of sampled ratios
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError("shots must be at least 1")
+        _check_shots("shots", self.shots)
         if self.ion_count < 1:
             raise ValueError("ion_count must be at least 1")
-        if any(abs(e) >= 0.5 for e in self.epsilon):
+        if not all(abs(e) < 0.5 for e in self.epsilon):
             raise ValueError("per-ion over-rotation must satisfy |epsilon| < 0.5")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -182,12 +192,81 @@ def exact_probabilities(
     return _backend_confusion(backend).entries @ true_probs
 
 
-def derive_seed(base: int, *key: int) -> int:
-    """Stable 64-bit stream id for a (seed, key...) pair."""
-    ss = np.random.SeedSequence(
-        entropy=int(base), spawn_key=tuple(int(k) for k in key)
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value, h: int, mult: int):
+    """numpy's `hashmix` of a uint32 word, a Python int or a uint32 array,
+    under hash constant h; returns the mixed word and the next constant."""
+    h_next = h * mult & _MASK32
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> 16, h_next
+
+
+def _mix(x, y):
+    """numpy's `mix` of two uint32 words; the products are reduced first so
+    a Python int meets a uint32 array only below 2**32."""
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _words(n: int) -> list[int]:
+    """n as little-endian uint32 words, one word for 0, as numpy splits it."""
+    if n < 0:
+        raise ValueError("seed and key entries must be non-negative")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _key_words(key) -> list:
+    if not isinstance(key, np.ndarray):
+        return _words(int(key))
+    if key.dtype.kind not in "iu":
+        raise ValueError(f"array keys must hold integers, got {key.dtype}")
+    if key.size and not (0 <= key.min() and key.max() <= _MASK32):
+        raise ValueError("array key entries must lie in 0..2**32 - 1")
+    # numpy scalars, unlike arrays, warn when uint32 arithmetic wraps
+    return [np.atleast_1d(key).astype(np.uint32)]
+
+
+def derive_seed(base: int, *key):
+    """Stable 64-bit stream id for a (seed, key...) pair: the value of
+    `np.random.SeedSequence(base, spawn_key=key).generate_state(1, np.uint64)[0]`,
+    computed in uint32 arithmetic. A key may be an integer array with entries
+    below 2**32; the ids then come back as a uint64 array of the keys'
+    broadcast shape, at least 1-d, and only the rounds that mix array words run on arrays."""
+    words = _words(int(base))
+    if key:
+        # numpy pads the run entropy to the pool size when a spawn key is given
+        words += [0] * (_POOL_SIZE - len(words))
+        for k in key:
+            words += _key_words(k)
+    h = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word, h = _hashmix(words[i] if i < len(words) else 0, h, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            word, h = _hashmix(extra, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    low, h = _hashmix(pool[0], _INIT_B, _MULT_B)
+    high, _ = _hashmix(pool[1], h, _MULT_B)
+    if isinstance(low, int):
+        return low | high << 32
+    return low.astype(np.uint64) | high.astype(np.uint64) << 32
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -197,12 +276,13 @@ def _rng(seed: int) -> np.random.Generator:
 def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Deterministic multinomial draw; identical inputs give identical counts."""
     probs = np.asarray(probs, dtype=float)
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    if float(probs.min()) < -1e-9:
-        raise BadDistribution(f"negative probability {float(probs.min()):.3e}")
+    _check_shots("shots", shots)
+    # written so that NaN fails both checks
+    low = float(probs.min())
+    if not low >= -1e-9:
+        raise BadDistribution(f"probability {low:.3e} is negative or NaN")
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise BadDistribution(f"probabilities sum to {total!r}")
     clean = np.clip(probs, 0.0, None)
     clean = clean / clean.sum()
@@ -286,19 +366,27 @@ def _emulate(
 ) -> SweepResult:
     """Emulate n points given as (params, ion index, i_r, i_t). Each point's
     counts come from its own stream, keyed by (seed, i_r, i_t), or from
-    largest-remainder rounding in exact mode."""
+    largest-remainder rounding in exact mode. Stream ids are derived a block
+    of SEED_BLOCK points at a time."""
     r, t = np.empty(n), np.empty(n)
     ion = np.empty(n, dtype=np.int64)
     p_exact = np.empty((n, 3))
     counts = np.empty((n, 3), dtype=np.int64)
-    for i, (p, ion_index, i_r, i_t) in enumerate(points):
-        probs = exact_probabilities(p, backend, ion_index)
-        r[i], t[i], ion[i], p_exact[i] = p.r, p.t, ion_index, probs
+    points = iter(points)
+    for start in range(0, n, SEED_BLOCK):
+        block = list(islice(points, SEED_BLOCK))
         if backend.exact:
-            counts[i] = _round_counts(probs, backend.shots)
+            seeds = [None] * len(block)
         else:
-            point_seed = derive_seed(backend.seed, 0, i_r, i_t)
-            counts[i] = sample_counts(probs, backend.shots, point_seed)
+            _, _, i_r, i_t = zip(*block)
+            seeds = derive_seed(backend.seed, 0, np.array(i_r), np.array(i_t)).tolist()
+        for i, (p, ion_index, _, _), seed in zip(count(start), block, seeds):
+            probs = exact_probabilities(p, backend, ion_index)
+            r[i], t[i], ion[i], p_exact[i] = p.r, p.t, ion_index, probs
+            if backend.exact:
+                counts[i] = _round_counts(probs, backend.shots)
+            else:
+                counts[i] = sample_counts(probs, backend.shots, seed)
     # element-wise float divisions give the same IEEE results as the scalar
     # int / int and float / float divisions of a point at a time
     shares = p_exact if backend.exact else counts
@@ -377,8 +465,7 @@ def estimate_confusion(
 ) -> ConfusionMatrix:
     """Prepare each basis state, read it out through the backend's true
     matrix, and column-normalize the empirical counts."""
-    if preparations_per_state < 1:
-        raise ValueError("preparations_per_state must be at least 1")
+    _check_shots("preparations_per_state", preparations_per_state)
     true = _backend_confusion(backend)
     columns = []
     for prepared in range(3):

@@ -97,6 +97,30 @@ def test_parse_config_errors():
         cli.parse_config("epsilon = 0.7\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["epsilon = nan", "epsilon = 0.01, nan", "epsilon = -inf", f"shots = {10**20}",
+     f"shots = {2**63}"],
+)
+def test_run_rejects_nan_epsilon_and_oversized_shots(tmp_path, capsys, line):
+    with pytest.raises(cli.ValidationError, match="line 1"):
+        cli.parse_config(line + "\n")
+    cfg = write_config(tmp_path, f"{line}\nbackend = ion\noutput_csv = {tmp_path}/out.csv\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 1: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_run_takes_the_largest_shot_count(tmp_path):
+    csv_path = tmp_path / "out.csv"
+    cfg = write_config(
+        tmp_path, f"shots = {2**63 - 1}\nr_steps = 2\nt_steps = 2\noutput_csv = {csv_path}\n"
+    )
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert len(rows) == 4 and {row["shots"] for row in rows} == {str(2**63 - 1)}
+
+
 def test_build_backend_defaults_and_confusion_file(tmp_path):
     backend = cli.build_backend(cli.parse_config("backend = ion\n"))
     assert backend.kind is BackendKind.ION and backend.shots == 512

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ptqsim import experiment
 from ptqsim.experiment import (
     DEFAULT_ION_EPSILON,
     MAX_GRID_POINTS,
+    MAX_SHOTS,
     BackendConfig,
     BackendKind,
     BadDistribution,
@@ -92,6 +96,13 @@ def test_backend_config_validation():
         BackendConfig(seed=-1)
     with pytest.raises(ValueError):
         BackendConfig(seed=2**64)
+    for eps in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            BackendConfig(epsilon=(0.01, eps))
+    for shots in (MAX_SHOTS + 1, 10**20):
+        with pytest.raises(ValueError):
+            BackendConfig(shots=shots)
+    assert BackendConfig(shots=MAX_SHOTS).shots == 2**63 - 1
 
 
 def test_default_backends():
@@ -169,6 +180,60 @@ def test_miscalibration_population_deficit():
     assert abs((1.0 - probs[1]) - OVERROTATION_DEFICIT) < 1e-12
 
 
+def numpy_seed(base, *key):
+    return int(np.random.SeedSequence(base, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+)
+def test_derive_seed_matches_numpy_seed_sequence(base, key):
+    assert derive_seed(base, *key) == numpy_seed(base, *key)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+def test_derive_seed_array_keys_match_scalar_keys(base, i_r, i_t):
+    got = derive_seed(base, 0, np.array(i_r), i_t)
+    assert got.dtype == np.uint64 and got.shape == (len(i_r),)
+    assert got.tolist() == [derive_seed(base, 0, k, i_t) for k in i_r]
+    assert got.tolist() == [numpy_seed(base, 0, k, i_t) for k in i_r]
+
+
+@pytest.mark.parametrize("base", EDGE_SEEDS)
+def test_derive_seed_array_keys_up_to_the_grid_cap(base):
+    # the largest grid keys a sweep can give: MAX_GRID_POINTS rows of one column
+    keys = np.array([0, 1, 2, 4095, 4096, MAX_GRID_POINTS - 2, MAX_GRID_POINTS - 1])
+    for got, i_r in zip(derive_seed(base, 0, keys, np.zeros_like(keys)).tolist(), keys):
+        assert got == numpy_seed(base, 0, int(i_r), 0)
+    for got, i_t in zip(derive_seed(base, 0, 0, keys).tolist(), keys):
+        assert got == numpy_seed(base, 0, 0, int(i_t))
+    # keys of different shapes broadcast
+    grid = derive_seed(base, 0, keys[:, None], keys[:3])
+    assert grid.shape == (7, 3) and int(grid[5, 2]) == numpy_seed(base, 0, MAX_GRID_POINTS - 2, 2)
+    assert derive_seed(base, 0, np.array(3), np.array(4)).tolist() == [numpy_seed(base, 0, 3, 4)]
+
+
+def test_derive_seed_rejects_out_of_range_array_keys():
+    for bad in ([-1, 0], [0, 2**32], [2**40]):
+        with pytest.raises(ValueError):
+            derive_seed(5, 0, np.array(bad), 0)
+    with pytest.raises(ValueError):
+        derive_seed(5, 0, np.array([0.5]), 0)
+    with pytest.raises(ValueError):
+        derive_seed(5, -1)
+    assert derive_seed(5, 0, np.array([], dtype=np.int64), 0).shape == (0,)
+
+
 def test_derive_seed_determinism_and_spread():
     assert derive_seed(7, 0, 3, 4) == derive_seed(7, 0, 3, 4)
     seen = {
@@ -194,6 +259,11 @@ def test_sample_counts_examples():
         sample_counts(np.array([0.3, 0.3, 0.3]), 10, seed=0)
     with pytest.raises(ValueError):
         sample_counts(np.array([1.0, 0.0, 0.0]), 0, seed=0)
+    with pytest.raises(ValueError):
+        sample_counts(np.array([1.0, 0.0, 0.0]), MAX_SHOTS + 1, seed=0)
+    for nan_probs in ([math.nan, 0.5, 0.5], [0.5, 0.5, math.nan], [math.nan] * 3):
+        with pytest.raises(BadDistribution):
+            sample_counts(np.array(nan_probs), 10, seed=0)
 
 
 def test_sample_counts_law_of_large_numbers():
@@ -321,6 +391,9 @@ def test_estimate_confusion_determinism_and_accuracy():
     assert float(np.max(np.abs(est1.entries - true))) < 0.01
     with pytest.raises(ValueError):
         estimate_confusion(backend, 0)
+    with pytest.raises(ValueError):
+        estimate_confusion(backend, 10**20)
+    assert float(np.max(np.abs(estimate_confusion(backend, MAX_SHOTS).entries - true))) < 1e-6
 
 
 def test_experiment_point_is_value_like():
@@ -351,8 +424,8 @@ def reference_points(grid, backend):
                 mass = float(probs[0]) + float(probs[1])
                 post = float(probs[0]) / mass if mass > 0.0 else None
             else:
-                seed = derive_seed(backend.seed, 0, i_r, i_t)
-                counts = sample_counts(probs, backend.shots, seed)
+                # numpy's hash itself, so this reference does not rest on derive_seed
+                counts = sample_counts(probs, backend.shots, numpy_seed(backend.seed, 0, i_r, i_t))
                 p0_raw = int(counts[0]) / backend.shots
                 kept = int(counts[0]) + int(counts[1])
                 post = int(counts[0]) / kept if kept else None
@@ -405,6 +478,19 @@ def test_sweep_matches_point_reference(name, seed):
     if name == "ion-leaky":
         # some points keep shots in the (0,1) subspace and some keep none
         assert len({pt.p0_postselected is None for pt in result}) == 2
+
+
+@pytest.mark.parametrize("name", ["ion-leaky", "transmon-exact"])
+@pytest.mark.parametrize("block", [1, 8, 34, 35])
+def test_sweep_matches_point_reference_across_seed_blocks(monkeypatch, name, block):
+    # blocks that split the 35 points evenly, unevenly and not at all
+    monkeypatch.setattr(experiment, "SEED_BLOCK", block)
+    grid = SweepGrid(r_min=0.0, r_max=1.8, r_steps=5, t_min=0.0, t_max=4.0, t_steps=7)
+    backend = SWEEP_BACKENDS[name](2**64 - 1)
+    result, want = sweep(grid, backend), reference_points(grid, backend)
+    assert len(result) == len(want) == 35
+    for got, ref in zip(result, want):
+        assert_same_point(got, ref)
 
 
 def test_sweep_result_columns_and_indexing():
