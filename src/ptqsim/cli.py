@@ -235,14 +235,20 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _fmt_coordinates(values: np.ndarray) -> Iterator[str]:
+    """_fmt of each value, run once per distinct bit pattern, so -0.0 stays "-0"."""
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    return map([_fmt(x) for x in bits.view(np.float64).tolist()].__getitem__, index.tolist())
+
+
 def render_csv(points: SweepResult, backend: BackendConfig, start: int, stop: int) -> str:
     """CSV lines of points start..stop, led by the header when start is 0."""
     rows = slice(start, stop)
     p = points.p_exact[rows]
     header = "r,t,backend,p0,p1,p2,p0_raw,p0_postselected,kept,shots,seed"
     columns = [
-        map(_fmt, points.r[rows].tolist()),
-        map(_fmt, points.t[rows].tolist()),
+        _fmt_coordinates(points.r[rows]),
+        _fmt_coordinates(points.t[rows]),
         repeat(backend.kind.value),
         map(_fmt, p[:, 0].tolist()),
         map(_fmt, p[:, 1].tolist()),

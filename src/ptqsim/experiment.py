@@ -236,20 +236,11 @@ def _key_words(key) -> list:
     return [np.atleast_1d(key).astype(np.uint32)]
 
 
-def derive_seed(base: int, *key):
-    """Stable 64-bit stream id for a (seed, key...) pair: the value of
-    `np.random.SeedSequence(base, spawn_key=key).generate_state(1, np.uint64)[0]`,
-    computed in uint32 arithmetic. A key may be an integer array with entries
-    below 2**32; the ids then come back as a uint64 array of the keys'
-    broadcast shape, at least 1-d, and only the rounds that mix array words run on arrays."""
-    words = _words(int(base))
-    if key:
-        # numpy pads the run entropy to the pool size when a spawn key is given
-        words += [0] * (_POOL_SIZE - len(words))
-        for k in key:
-            words += _key_words(k)
-    h = _INIT_A
-    pool = []
+def _generate(words: list, n: int) -> list:
+    """numpy's `SeedSequence(entropy).generate_state(n, np.uint64)` from the
+    entropy's uint32 words, each an int or a uint32 array: the pool stage,
+    then the output stage of 2n words joined little-endian in pairs."""
+    h, pool = _INIT_A, []
     for i in range(_POOL_SIZE):
         word, h = _hashmix(words[i] if i < len(words) else 0, h, _MULT_A)
         pool.append(word)
@@ -262,31 +253,60 @@ def derive_seed(base: int, *key):
         for dst in range(_POOL_SIZE):
             word, h = _hashmix(extra, h, _MULT_A)
             pool[dst] = _mix(pool[dst], word)
-    low, h = _hashmix(pool[0], _INIT_B, _MULT_B)
-    high, _ = _hashmix(pool[1], h, _MULT_B)
-    if isinstance(low, int):
-        return low | high << 32
-    return low.astype(np.uint64) | high.astype(np.uint64) << 32
+    h, out = _INIT_B, []
+    for i in range(2 * n):
+        word, h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
+        out.append(word if isinstance(word, int) else word.astype(np.uint64))
+    return [low | high << 32 for low, high in zip(out[::2], out[1::2])]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+def derive_seed(base: int, *key):
+    """Stable 64-bit stream id for a (seed, key...) pair: the value of
+    `np.random.SeedSequence(base, spawn_key=key).generate_state(1, np.uint64)[0]`,
+    computed in uint32 arithmetic. A key may be an integer array with entries
+    below 2**32; the ids then come back as a uint64 array of the keys'
+    broadcast shape, at least 1-d, and only the rounds that mix array words run on arrays."""
+    words = _words(int(base))
+    if key:
+        # numpy pads the run entropy to the pool size when a spawn key is given
+        words += [0] * (_POOL_SIZE - len(words))
+        for k in key:
+            words += _key_words(k)
+    return _generate(words, 1)[0]
+
+
+def _sampler():
+    """A multinomial draw per probability row from one Philox. Before row i
+    it is reset to the state `Philox(SeedSequence(id_i))` starts in: key
+    `generate_state(2, np.uint64)` of id_i's entropy words, counter 0 and
+    an empty buffer. So each row draws its id's stream."""
+    rng = np.random.Generator(np.random.Philox(0))
+    fresh = rng.bit_generator.state  # counter 0, buffer_pos 4, has_uint32 0, uinteger 0
+
+    def draw(probs: np.ndarray, shots: int, words: list) -> np.ndarray:
+        _check_shots("shots", shots)
+        keys = np.array(_generate(words, 2), dtype=np.uint64).T.reshape(-1, 2)
+        counts = np.empty(probs.shape, dtype=np.int64)
+        for i, key in enumerate(keys):
+            # written so that NaN fails both checks
+            low = float(probs[i].min())
+            if not low >= -1e-9:
+                raise BadDistribution(f"probability {low:.3e} is negative or NaN")
+            total = float(probs[i].sum())
+            if not abs(total - 1.0) <= 1e-9:
+                raise BadDistribution(f"probabilities sum to {total!r}")
+            clean = np.clip(probs[i], 0.0, None)
+            fresh["state"]["key"] = key
+            rng.bit_generator.state = fresh
+            counts[i] = rng.multinomial(int(shots), clean / clean.sum())
+        return counts
+
+    return draw
 
 
 def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Deterministic multinomial draw; identical inputs give identical counts."""
-    probs = np.asarray(probs, dtype=float)
-    _check_shots("shots", shots)
-    # written so that NaN fails both checks
-    low = float(probs.min())
-    if not low >= -1e-9:
-        raise BadDistribution(f"probability {low:.3e} is negative or NaN")
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-9:
-        raise BadDistribution(f"probabilities sum to {total!r}")
-    clean = np.clip(probs, 0.0, None)
-    clean = clean / clean.sum()
-    return _rng(seed).multinomial(int(shots), clean)
+    """Multinomial draw from the stream of `Philox(SeedSequence(seed))`."""
+    return _sampler()(np.asarray(probs, dtype=float)[None], shots, _words(int(seed)))[0]
 
 
 def postselect_ratios(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -296,13 +316,15 @@ def postselect_ratios(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 def _round_counts(probs: np.ndarray, shots: int) -> np.ndarray:
-    """Largest-remainder rounding of shots*probs (exact-mode bookkeeping)."""
-    scaled = np.clip(np.asarray(probs, dtype=float), 0.0, None) * shots
-    base = np.floor(scaled).astype(np.int64)
-    remainder = int(shots - base.sum())
-    order = np.argsort(-(scaled - base))
-    base[order[:remainder]] += 1
-    return base
+    """Largest-remainder rounding of shots * probs / sum(probs) (exact-mode
+    bookkeeping) in exact integer arithmetic: the counts sum to shots."""
+    clipped = np.clip(probs, 0.0, None).tolist()
+    # every float is a whole multiple of 2**-1074, so these weights are exact
+    weights = [n * 2**1074 // d for n, d in map(float.as_integer_ratio, clipped)]
+    base, rest = zip(*(divmod(shots * w, sum(weights)) for w in weights))
+    counts = np.array(base, dtype=np.int64)
+    counts[sorted(range(len(rest)), key=rest.__getitem__, reverse=True)[: shots - sum(base)]] += 1
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,27 +388,27 @@ def _emulate(
 ) -> SweepResult:
     """Emulate n points given as (params, ion index, i_r, i_t). Each point's
     counts come from its own stream, keyed by (seed, i_r, i_t), or from
-    largest-remainder rounding in exact mode. Stream ids are derived a block
-    of SEED_BLOCK points at a time."""
+    largest-remainder rounding in exact mode. Stream ids and Philox keys are
+    derived a block of SEED_BLOCK points at a time."""
     r, t = np.empty(n), np.empty(n)
     ion = np.empty(n, dtype=np.int64)
     p_exact = np.empty((n, 3))
     counts = np.empty((n, 3), dtype=np.int64)
-    points = iter(points)
+    points, draw = iter(points), _sampler()
     for start in range(0, n, SEED_BLOCK):
         block = list(islice(points, SEED_BLOCK))
+        rows = slice(start, start + len(block))
+        for i, (p, ion_index, _, _) in zip(count(start), block):
+            r[i], t[i], ion[i] = p.r, p.t, ion_index
+            p_exact[i] = exact_probabilities(p, backend, ion_index)
         if backend.exact:
-            seeds = [None] * len(block)
+            counts[rows] = [_round_counts(probs, backend.shots) for probs in p_exact[rows]]
         else:
             _, _, i_r, i_t = zip(*block)
-            seeds = derive_seed(backend.seed, 0, np.array(i_r), np.array(i_t)).tolist()
-        for i, (p, ion_index, _, _), seed in zip(count(start), block, seeds):
-            probs = exact_probabilities(p, backend, ion_index)
-            r[i], t[i], ion[i], p_exact[i] = p.r, p.t, ion_index, probs
-            if backend.exact:
-                counts[i] = _round_counts(probs, backend.shots)
-            else:
-                counts[i] = sample_counts(probs, backend.shots, seed)
+            ids = derive_seed(backend.seed, 0, np.array(i_r), np.array(i_t))
+            # numpy leaves out a zero high word, which hashes as a missing one
+            words = [(ids & _MASK32).astype(np.uint32), (ids >> 32).astype(np.uint32)]
+            counts[rows] = draw(p_exact[rows], backend.shots, words)
     # element-wise float divisions give the same IEEE results as the scalar
     # int / int and float / float divisions of a point at a time
     shares = p_exact if backend.exact else counts

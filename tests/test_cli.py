@@ -12,7 +12,7 @@ import pytest
 from conftest import mp_observables
 from ptqsim import cli
 from ptqsim.dilation import qutrit_circuit
-from ptqsim.experiment import BackendKind, SweepGrid, sweep
+from ptqsim.experiment import BackendKind, SweepGrid, default_backend, sweep
 from ptqsim.gates import GateKind, format_circuit, parse_circuit, rx
 from ptqsim.model import PTParams, return_probability
 
@@ -353,6 +353,18 @@ def test_run_streams_csv_blocks(tmp_path, monkeypatch, block_rows, backend, obse
         assert any(pt.p0_postselected is None for pt in points)
 
 
+def test_render_csv_formats_repeated_coordinates_per_value():
+    # r_max = -0.0 passes the grid checks and ends the r column on -0.0,
+    # which must keep its own string beside the 0.0 rows
+    grid = SweepGrid(r_min=0.0, r_max=-0.0, r_steps=3, t_min=0.0, t_max=2.5, t_steps=6)
+    backend = default_backend(BackendKind.ION, seed=4)
+    points = sweep(grid, backend)
+    text = cli.render_csv(points, backend, 0, len(points))
+    assert text == reference_csv(list(points), backend)
+    assert text.count("\n-0,") == grid.t_steps
+    assert cli.render_csv(points, backend, 5, 14) == "".join(text.splitlines(True)[6:15])
+
+
 def test_run_deep_broken_phase(tmp_path):
     csv_path = tmp_path / "out.csv"
     cfg = write_config(
@@ -363,7 +375,7 @@ def test_run_deep_broken_phase(tmp_path):
     )
     for backend in ("theory", "ion", "transmon"):
         assert run_cli(["run", "--config", str(cfg), "--backend", backend]) == 0, backend
-        (row,) = csv.DictReader(csv_path.open())
+        (row,) = csv.DictReader(csv_path.read_text().splitlines())
         if backend == "theory":
             assert float(row["p0"]) == pytest.approx(mp_observables(1.5, 1000.0)[0], abs=1e-12)
 

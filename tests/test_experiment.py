@@ -2,6 +2,7 @@
 sampling, per-point experiments, grid sweeps, and calibration estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,23 @@ def numpy_seed(base, *key):
     return int(np.random.SeedSequence(base, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
+def numpy_generator(seed):
+    """A fresh numpy generator on the stream that seed names."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def numpy_counts(probs, shots, seed):
+    """`sample_counts` rebuilt from numpy alone: clip, renormalize, draw."""
+    clean = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    return numpy_generator(seed).multinomial(shots, clean / clean.sum())
+
+
+def id_words(ids):
+    """The two uint32 entropy words of each 64-bit stream id."""
+    ids = np.asarray(ids, dtype=np.uint64)
+    return [(ids & 0xFFFFFFFF).astype(np.uint32), (ids >> 32).astype(np.uint32)]
+
+
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
 
@@ -252,6 +270,7 @@ def test_sample_counts_examples():
     assert np.array_equal(counts, [100, 0, 0])
     again = sample_counts(np.array([0.3, 0.3, 0.4]), 512, seed=11)
     assert np.array_equal(again, sample_counts(np.array([0.3, 0.3, 0.4]), 512, seed=11))
+    assert np.array_equal(again, numpy_counts([0.3, 0.3, 0.4], 512, 11))
     assert int(again.sum()) == 512
     with pytest.raises(BadDistribution):
         sample_counts(np.array([0.5, 0.6, -0.1]), 10, seed=0)
@@ -266,6 +285,70 @@ def test_sample_counts_examples():
             sample_counts(np.array(nan_probs), 10, seed=0)
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)), min_size=1, max_size=20))
+def test_philox_keys_match_numpy_seed_sequence(ids):
+    # a Philox seeded from SeedSequence(id) takes generate_state(2, np.uint64) as its key
+    keys = np.array(experiment._generate(id_words(ids), 2), dtype=np.uint64).T
+    want = [np.random.SeedSequence(i).generate_state(2, np.uint64).tolist() for i in ids]
+    assert keys.tolist() == want
+    for i, key in zip(ids, want):
+        assert experiment._generate(experiment._words(i), 2) == key
+    assert [np.random.Philox(np.random.SeedSequence(i)).state["state"]["key"].tolist()
+            for i in ids] == want
+
+
+SAMPLER_SHOTS = (1, 512, 8192, MAX_SHOTS)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0),
+             min_size=1, max_size=3),
+    st.sampled_from(SAMPLER_SHOTS) | st.integers(1, 10**6),
+    st.sampled_from(EDGE_SEEDS + (2**64, 2**100)) | st.integers(0, 2**64 - 1),
+)
+def test_sample_counts_matches_numpy_generator(weights, shots, seed):
+    for w in weights:
+        probs = np.array(w) / sum(w)
+        assert np.array_equal(sample_counts(probs, shots, seed), numpy_counts(probs, shots, seed))
+
+
+def test_sampler_state_does_not_leak_between_rows():
+    # one sampler over rows in shuffled order, with every shot count and the
+    # degenerate rows, must draw what a fresh numpy generator draws per row
+    rng = np.random.default_rng(12)
+    rows = [np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0])]
+    rows += list(rng.dirichlet([1.0, 1.0, 1.0], 5))
+    ids = list(EDGE_SEEDS) + rng.integers(0, 2**63, 3).tolist()
+    cases = [(p, shots, i) for p in rows for shots in SAMPLER_SHOTS for i in ids[:3]]
+    cases += [(rows[k % len(rows)], SAMPLER_SHOTS[k % 4], i) for k, i in enumerate(ids)]
+    rng.shuffle(cases)
+    draw = experiment._sampler()
+    for start in range(0, len(cases), 3):
+        # blocks of one to three rows that share a shot count
+        block = [cases[start]]
+        block += [c for c in cases[start + 1:start + 3] if c[1] == block[0][1]]
+        probs, shots, block_ids = np.array([c[0] for c in block]), block[0][1], [c[2] for c in block]
+        got = draw(probs, shots, id_words(block_ids))
+        for counts, (p, _, i) in zip(got, block):
+            assert np.array_equal(counts, numpy_counts(p, shots, i))
+
+
+def test_sampler_checks_every_row():
+    draw = experiment._sampler()
+    good = [1.0, 0.0, 0.0]
+    for bad, message in (
+        ([0.5, 0.6, -0.1], "probability -1.000e-01 is negative"),
+        ([0.3, 0.3, 0.3], "probabilities sum to 0.8999"),
+        ([0.5, 0.5, math.nan], "probability nan is negative or NaN"),
+    ):
+        with pytest.raises(BadDistribution, match=message):
+            draw(np.array([good, good, bad]), 10, id_words([1, 2, 3]))
+        with pytest.raises(BadDistribution, match=message):
+            sample_counts(np.array(bad), 10, seed=3)
+
+
 def test_sample_counts_law_of_large_numbers():
     counts = sample_counts(np.array([0.5, 0.5, 0.0]), 10**6, seed=7)
     assert abs(counts[0] / 10**6 - 0.5) < 0.002
@@ -276,6 +359,54 @@ def test_postselect_ratios():
     # counts (3, 1, 4) and (0, 0, 9): the second keeps no shot
     ratios = postselect_ratios(np.array([3, 0]), np.array([1, 0]))
     assert ratios[0] == 0.75 and math.isnan(ratios[1])
+
+
+def float_round_counts(probs, shots):
+    """Largest-remainder rounding in float arithmetic, exact while
+    shots * probs stays far inside 2**53."""
+    scaled = np.clip(probs, 0.0, None) * shots
+    base = np.floor(scaled).astype(np.int64)
+    base[np.argsort(-(scaled - base))[: shots - int(base.sum())]] += 1
+    return base
+
+
+def test_round_counts_matches_float_rounding_on_closed_forms():
+    grid = SweepGrid(r_min=0.0, r_max=2.0, r_steps=21, t_min=0.0, t_max=10.0, t_steps=21)
+    backends = (theory_backend(), default_backend(BackendKind.TRANSMON),
+                default_backend(BackendKind.ION), BackendConfig(BackendKind.TRANSMON, confusion=LEAKY))
+    for backend in backends:
+        for r in grid.r_values():
+            for i_t, t in enumerate(grid.t_values()):
+                probs = exact_probabilities(PTParams(float(r), float(t)), backend, i_t % 5)
+                for shots in (1, 2, 3, 100, 512, 8192, 10**6):
+                    assert np.array_equal(_round_counts(probs, shots), float_round_counts(probs, shots))
+
+
+@pytest.mark.parametrize(
+    "probs, want",
+    [
+        ((1.0, 0.0, 0.0), (MAX_SHOTS, 0, 0)),
+        ((0.5, 0.5, 0.0), (2**62, 2**62 - 1, 0)),
+        ((0.0, 0.0, 1.0), (0, 0, MAX_SHOTS)),
+        ((1 / 3, 1 / 3, 1 / 3), (MAX_SHOTS // 3 + 1, MAX_SHOTS // 3, MAX_SHOTS // 3)),
+    ],
+)
+def test_round_counts_is_exact_at_max_shots(probs, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _round_counts(np.array(probs), MAX_SHOTS)
+    assert counts.dtype == np.int64 and counts.tolist() == list(want)
+    assert sum(counts.tolist()) == MAX_SHOTS
+
+
+def test_run_point_exact_mode_at_max_shots():
+    backend = theory_backend(shots=MAX_SHOTS, exact=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, t in ((0.0, 0.0), (0.4, 1.3), (1.0, 2.0), (1.6, 7.5)):
+            counts = run_point(PTParams(r, t), backend).counts
+            assert counts.dtype == np.int64 and sum(counts.tolist()) == MAX_SHOTS
+            assert counts.min() >= 0
 
 
 def test_run_point_exact_mode_matches_closed_form():
@@ -424,8 +555,9 @@ def reference_points(grid, backend):
                 mass = float(probs[0]) + float(probs[1])
                 post = float(probs[0]) / mass if mass > 0.0 else None
             else:
-                # numpy's hash itself, so this reference does not rest on derive_seed
-                counts = sample_counts(probs, backend.shots, numpy_seed(backend.seed, 0, i_r, i_t))
+                # numpy's hash and generator, so this reference rests on no
+                # part of the library's sampler
+                counts = numpy_counts(probs, backend.shots, numpy_seed(backend.seed, 0, i_r, i_t))
                 p0_raw = int(counts[0]) / backend.shots
                 kept = int(counts[0]) + int(counts[1])
                 post = int(counts[0]) / kept if kept else None
