@@ -11,17 +11,16 @@ on its grid position.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, islice
 
 import numpy as np
 
 from .dilation import qutrit_circuit
 from .gates import Circuit, Gate, GateKind, circuit_unitary, transpile_ion
 from .linalg import populations
-from .model import PTParams, qutrit_populations
+from .model import PTParams, qutrit_populations_array
 
 DEFAULT_ION_EPSILON = (0.02, -0.015, 0.01, -0.02, 0.005)
 DEFAULT_ION_DIAGONAL = 0.97
@@ -171,6 +170,26 @@ def miscalibrate(c: Circuit, eps: float) -> Circuit:
     return Circuit(tuple(out))
 
 
+def _probabilities(
+    backend: BackendConfig, r: np.ndarray, t: np.ndarray, ion: np.ndarray | None
+) -> np.ndarray:
+    """(N, 3) declared-outcome distributions at the points (r[i], t[i]); ion
+    holds each point's ion index on the ion backend."""
+    if backend.kind is BackendKind.ION:
+        true_probs = np.array([
+            populations(circuit_unitary(miscalibrate(
+                transpile_ion(qutrit_circuit(PTParams(r_i, t_i))), _ion_epsilon(backend, k)
+            ))[:, 0])
+            for r_i, t_i, k in zip(r.tolist(), t.tolist(), ion.tolist())
+        ])
+    else:
+        true_probs = qutrit_populations_array(r, t)
+    if backend.kind is BackendKind.THEORY:
+        return true_probs
+    # one matrix-vector product per row, as `C @ p` of a single point
+    return (_backend_confusion(backend).entries[None] @ true_probs[:, :, None])[..., 0]
+
+
 def exact_probabilities(
     p: PTParams, backend: BackendConfig, ion_index: int = 0
 ) -> np.ndarray:
@@ -180,16 +199,9 @@ def exact_probabilities(
     native pulses. Theory reads the closed-form populations; transmon pulses
     reproduce the qutrit unitary exactly, so it sees those same populations
     through readout confusion."""
-    if backend.kind is BackendKind.ION:
-        circ = miscalibrate(
-            transpile_ion(qutrit_circuit(p)), _ion_epsilon(backend, ion_index)
-        )
-        true_probs = populations(circuit_unitary(circ)[:, 0])
-    else:
-        true_probs = qutrit_populations(p)
-    if backend.kind is BackendKind.THEORY:
-        return true_probs
-    return _backend_confusion(backend).entries @ true_probs
+    return _probabilities(
+        backend, np.array([p.r], float), np.array([p.t], float), np.array([ion_index])
+    )[0]
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -286,19 +298,23 @@ def _sampler():
     def draw(probs: np.ndarray, shots: int, words: list) -> np.ndarray:
         _check_shots("shots", shots)
         keys = np.array(_generate(words, 2), dtype=np.uint64).T.reshape(-1, 2)
+        # written so that NaN fails both checks; a row of opposite infinities
+        # sums to NaN
+        with np.errstate(invalid="ignore"):
+            low, total = probs.min(axis=1), probs.sum(axis=1)
+        bad = ~(low >= -1e-9) | ~(np.abs(total - 1.0) <= 1e-9)
+        if bad.any():
+            i = int(bad.argmax())
+            if not low[i] >= -1e-9:
+                raise BadDistribution(f"probability {float(low[i]):.3e} is negative or NaN")
+            raise BadDistribution(f"probabilities sum to {float(total[i])!r}")
+        clean = np.clip(probs, 0.0, None)
+        clean /= clean.sum(axis=1, keepdims=True)
         counts = np.empty(probs.shape, dtype=np.int64)
         for i, key in enumerate(keys):
-            # written so that NaN fails both checks
-            low = float(probs[i].min())
-            if not low >= -1e-9:
-                raise BadDistribution(f"probability {low:.3e} is negative or NaN")
-            total = float(probs[i].sum())
-            if not abs(total - 1.0) <= 1e-9:
-                raise BadDistribution(f"probabilities sum to {total!r}")
-            clean = np.clip(probs[i], 0.0, None)
             fresh["state"]["key"] = key
             rng.bit_generator.state = fresh
-            counts[i] = rng.multinomial(int(shots), clean / clean.sum())
+            counts[i] = rng.multinomial(int(shots), clean[i])
         return counts
 
     return draw
@@ -384,28 +400,29 @@ class SweepResult:
 
 
 def _emulate(
-    backend: BackendConfig, points: Iterable[tuple[PTParams, int, int, int]], n: int
+    backend: BackendConfig,
+    r: np.ndarray,
+    t: np.ndarray,
+    i_r: np.ndarray,
+    i_t: np.ndarray,
+    ion: np.ndarray | None,
 ) -> SweepResult:
-    """Emulate n points given as (params, ion index, i_r, i_t). Each point's
-    counts come from its own stream, keyed by (seed, i_r, i_t), or from
-    largest-remainder rounding in exact mode. Stream ids and Philox keys are
-    derived a block of SEED_BLOCK points at a time."""
-    r, t = np.empty(n), np.empty(n)
-    ion = np.empty(n, dtype=np.int64)
+    """Emulate the points (r[i], t[i]), on ion ion[i] for the ion backend.
+    Each point's counts come from its own stream, keyed by (seed, i_r[i],
+    i_t[i]), or from largest-remainder rounding in exact mode. Probabilities,
+    stream ids and Philox keys are computed a block of SEED_BLOCK points at a
+    time."""
+    n = len(r)
     p_exact = np.empty((n, 3))
     counts = np.empty((n, 3), dtype=np.int64)
-    points, draw = iter(points), _sampler()
+    draw = _sampler()
     for start in range(0, n, SEED_BLOCK):
-        block = list(islice(points, SEED_BLOCK))
-        rows = slice(start, start + len(block))
-        for i, (p, ion_index, _, _) in zip(count(start), block):
-            r[i], t[i], ion[i] = p.r, p.t, ion_index
-            p_exact[i] = exact_probabilities(p, backend, ion_index)
+        rows = slice(start, start + SEED_BLOCK)
+        p_exact[rows] = _probabilities(backend, r[rows], t[rows], None if ion is None else ion[rows])
         if backend.exact:
             counts[rows] = [_round_counts(probs, backend.shots) for probs in p_exact[rows]]
         else:
-            _, _, i_r, i_t = zip(*block)
-            ids = derive_seed(backend.seed, 0, np.array(i_r), np.array(i_t))
+            ids = derive_seed(backend.seed, 0, i_r[rows], i_t[rows])
             # numpy leaves out a zero high word, which hashes as a missing one
             words = [(ids & _MASK32).astype(np.uint32), (ids >> 32).astype(np.uint32)]
             counts[rows] = draw(p_exact[rows], backend.shots, words)
@@ -433,7 +450,15 @@ def run_point(
     """One point of `sweep`: the grid indices in grid_key key its stream."""
     if backend.kind is BackendKind.ION and not 0 <= ion_index < backend.ion_count:
         raise ValueError(f"ion_index {ion_index} outside 0..{backend.ion_count - 1}")
-    return _emulate(backend, [(p, ion_index, *grid_key)], 1)[0]
+    i_r, i_t = grid_key
+    return _emulate(
+        backend,
+        np.array([p.r], float),
+        np.array([p.t], float),
+        np.array([i_r]),
+        np.array([i_t]),
+        np.array([ion_index]),
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -449,6 +474,8 @@ class SweepGrid:
         for name in ("r_min", "r_max", "t_min", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+            # -0.0 passes every check below, and would print as "-0"
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
         if self.r_steps < 1 or self.t_steps < 1:
             raise ValueError("steps must be at least 1")
         if self.r_steps * self.t_steps > MAX_GRID_POINTS:
@@ -472,14 +499,14 @@ def sweep(grid: SweepGrid, backend: BackendConfig) -> SweepResult:
     """Inclusive uniform grid in r-major order; the ion assignment (one ion
     per t column) and the per-point random stream depend only on grid
     indices."""
-    ions = backend.ion_count if backend.kind is BackendKind.ION else 1
-    r_values, t_values = grid.r_values().tolist(), grid.t_values().tolist()
-    points = (
-        (PTParams(r, t), i_t % ions, i_r, i_t)
-        for i_r, r in enumerate(r_values)
-        for i_t, t in enumerate(t_values)
-    )
-    return _emulate(backend, points, len(r_values) * len(t_values))
+    # grid indices stay below MAX_GRID_POINTS, so 32 bits hold them
+    i_r = np.repeat(np.arange(grid.r_steps, dtype=np.uint32), grid.t_steps)
+    i_t = np.tile(np.arange(grid.t_steps, dtype=np.uint32), grid.r_steps)
+    ion = None
+    if backend.kind is BackendKind.ION:
+        # in Python ints, as ion_count has no upper bound
+        ion = np.tile([i % backend.ion_count for i in range(grid.t_steps)], grid.r_steps)
+    return _emulate(backend, grid.r_values()[i_r], grid.t_values()[i_t], i_r, i_t, ion)
 
 
 def estimate_confusion(

@@ -224,6 +224,43 @@ def qutrit_populations(p: PTParams) -> np.ndarray:
     return np.array(_populations(p.r, kernel(p)))
 
 
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """f over x through the math module: numpy's vector cos, sin and exp can
+    differ from libm in the last ulp."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
+
+def qutrit_populations_array(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(N, 3) `qutrit_populations` over (N,) arrays of valid r and t, bit for
+    bit: each branch of `kernel` runs on the points it applies to, with the
+    scalar formulas in numpy and the transcendentals from libm."""
+    g, gc, gs = np.ones(len(r)), np.empty(len(r)), np.empty(len(r))
+    below, above = r < 1.0, r > 1.0
+    at = ~(below | above)  # r = 1
+    # h.t overflows to inf in the deep broken phase, as the scalar product does
+    with np.errstate(over="ignore"):
+        rb = r[below]
+        h = np.sqrt((1.0 - rb) * (1.0 + rb))
+        ht = h * t[below]
+        gc[below], gs[below] = _libm(math.cos, ht), _libm(math.sin, ht) / h
+        ra = r[above]
+        h = np.sqrt(ra - 1.0) * np.sqrt(ra + 1.0)
+        ht = h * t[above]
+        decay = _libm(math.exp, -ht)
+        g[above], gc[above] = decay, 0.5 * (1.0 + decay * decay)
+        gs[above] = -0.5 * _libm(math.expm1, -2.0 * ht) / h
+        g[at] = np.ldexp(1.0, -np.clip(np.frexp(t[at])[1], 0, 1022))
+        gc[at], gs[at] = g[at], t[at] * g[at]
+        rs = r * gs
+        ga = np.sqrt(g * g + rs * rs)
+    # `_populations`, both choices of d evaluated and one kept
+    den = ga + np.abs(gc)
+    d = np.where(gc * rs < 0.0, den, gs * gs / den)
+    v00 = gc + rs
+    n = np.stack([v00 * v00, gs * gs, 2.0 * np.abs(rs) * d], axis=1)
+    return n / (n[:, 0] + n[:, 1] + n[:, 2])[:, None]
+
+
 def return_probability(p: PTParams) -> float:
     """|<0|U(t)|0>|^2 where the upper block of U is V/sigma_plus."""
     return _populations(p.r, kernel(p))[0]

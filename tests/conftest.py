@@ -68,14 +68,6 @@ def brute_singular_values(m: np.ndarray) -> np.ndarray:
     return np.sqrt(eigs[::-1])
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
-    return q * (phases / np.abs(phases))
-
-
 def finite_floats(lo: float, hi: float) -> st.SearchStrategy[float]:
     return st.floats(
         min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False

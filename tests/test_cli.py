@@ -2,6 +2,7 @@
 and the CSV/PGM output contracts."""
 
 import csv
+import dataclasses
 import math
 import shutil
 import subprocess
@@ -354,15 +355,29 @@ def test_run_streams_csv_blocks(tmp_path, monkeypatch, block_rows, backend, obse
 
 
 def test_render_csv_formats_repeated_coordinates_per_value():
-    # r_max = -0.0 passes the grid checks and ends the r column on -0.0,
-    # which must keep its own string beside the 0.0 rows
-    grid = SweepGrid(r_min=0.0, r_max=-0.0, r_steps=3, t_min=0.0, t_max=2.5, t_steps=6)
+    # a -0.0 coordinate, which no grid yields, keeps its own string beside
+    # the 0.0 rows
+    grid = SweepGrid(r_min=0.0, r_max=0.0, r_steps=3, t_min=0.0, t_max=2.5, t_steps=6)
     backend = default_backend(BackendKind.ION, seed=4)
     points = sweep(grid, backend)
+    r = points.r.copy()
+    r[-grid.t_steps:] = -0.0
+    points = dataclasses.replace(points, r=r)
     text = cli.render_csv(points, backend, 0, len(points))
     assert text == reference_csv(list(points), backend)
     assert text.count("\n-0,") == grid.t_steps
     assert cli.render_csv(points, backend, 5, 14) == "".join(text.splitlines(True)[6:15])
+
+
+def test_run_writes_no_negative_zero_coordinate(tmp_path):
+    csv_path = tmp_path / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        f"r_min = 0\nr_max = -0\nr_steps = 2\nt_max = -0.0\nt_steps = 2\noutput_csv = {csv_path}\n",
+    )
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 4 and {(r, t) for r, t, *_ in rows} == {("0", "0")}
 
 
 def test_run_deep_broken_phase(tmp_path):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, series_evolution
+from conftest import series_evolution
+from ptqsim.cli import _haar_unitary
 from ptqsim.dilation import (
     Dilation,
     DilationError,
@@ -123,7 +124,7 @@ def test_rank_reduction_of_rescaled_block():
 
 def test_rescale_to_contraction_examples():
     rng = np.random.default_rng(67)
-    u = haar_unitary(3, rng)
+    u = _haar_unitary(3, rng)
     scaled, lam = rescale_to_contraction(u)
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(scaled - u)) < 1e-12
@@ -158,7 +159,7 @@ def test_general_dilation_random_contractions():
         contracted = int(rng.integers(1, n + 1))
         s = np.ones(n)
         s[:contracted] = rng.uniform(0.1, 0.9, contracted)
-        a = haar_unitary(n, rng) @ (s[:, None] * dag(haar_unitary(n, rng)))
+        a = _haar_unitary(n, rng) @ (s[:, None] * dag(_haar_unitary(n, rng)))
         m = int(np.sum(1.0 - s * s > 1e-12))
         dil = general_dilation(a, m)
         eye = np.eye(n + m)
@@ -179,7 +180,7 @@ def test_general_dilation_wide_ancilla():
 
 def test_general_dilation_zero_ancilla_unitary():
     rng = np.random.default_rng(73)
-    u = haar_unitary(2, rng)
+    u = _haar_unitary(2, rng)
     dil = general_dilation(u, 0)
     assert dil.m == 0
     assert np.array_equal(dil.u, u)

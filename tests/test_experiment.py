@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_floats
 from ptqsim import experiment
 from ptqsim.experiment import (
     DEFAULT_ION_EPSILON,
+    DEFAULT_TRANSMON_DIAGONAL,
     MAX_GRID_POINTS,
     MAX_SHOTS,
     BackendConfig,
@@ -349,6 +351,23 @@ def test_sampler_checks_every_row():
             sample_counts(np.array(bad), 10, seed=3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sampler_reports_the_first_failing_row():
+    # the block is checked as arrays, and the message is the one the first
+    # failing row raised a row at a time: its negative entry before its sum
+    draw = experiment._sampler()
+    good, bad_sum, nan = [1.0, 0.0, 0.0], [0.3, 0.3, 0.3], [0.5, 0.5, math.nan]
+    for rows, message in (
+        ([good, bad_sum, nan], "probabilities sum to 0.8999"),
+        ([good, nan, bad_sum], "probability nan is negative or NaN"),
+        ([good, [0.5, 0.6, -0.2], nan], "probability -2.000e-01 is negative"),
+        ([good, [math.inf, -math.inf, 1.0], bad_sum], "probability -inf is negative"),
+        ([good, [math.inf, 0.0, 0.0], nan], "probabilities sum to inf"),
+    ):
+        with pytest.raises(BadDistribution, match=message):
+            draw(np.array(rows), 10, id_words([1, 2, 3]))
+
+
 def test_sample_counts_law_of_large_numbers():
     counts = sample_counts(np.array([0.5, 0.5, 0.0]), 10**6, seed=7)
     assert abs(counts[0] / 10**6 - 0.5) < 0.002
@@ -538,6 +557,19 @@ LEAKY = ConfusionMatrix(
     np.array([[0.1, 0.05, 0.0], [0.05, 0.1, 0.0], [0.85, 0.85, 1.0]]), label="leaky"
 )
 SINK = ConfusionMatrix(np.array([[0.0, 0, 0], [0, 0, 0], [1, 1, 1.0]]), label="sink")
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(finite_floats(0.0, 3.0), finite_floats(0.0, 10.0)), min_size=1, max_size=40),
+    st.sampled_from([synthetic_confusion(DEFAULT_TRANSMON_DIAGONAL), synthetic_confusion(0.5), LEAKY, SINK]),
+)
+def test_transmon_rows_equal_confusion_times_populations(points, confusion):
+    r, t = np.array(points).T
+    backend = BackendConfig(kind=BackendKind.TRANSMON, confusion=confusion)
+    got = experiment._probabilities(backend, r, t, None)
+    want = [confusion.entries @ qutrit_populations(PTParams(*p)) for p in points]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def reference_points(grid, backend):

@@ -33,6 +33,7 @@ from ptqsim.model import (
     postselected_population,
     pt_symmetry_check,
     qutrit_populations,
+    qutrit_populations_array,
     rescaled_evolution,
     return_probability,
     singular_values,
@@ -386,6 +387,29 @@ def test_angles_is_plain_record():
     assert ang.phi == 0.25 and ang.theta == -0.5
 
 
+def array_populations(r: float, t: float) -> np.ndarray:
+    """The populations at one point from the array path."""
+    return qutrit_populations_array(np.array([r]), np.array([t]))[0]
+
+
+# every branch of the kernel, its r = 1 edge, both float-range ends, and
+# points where g = e^{-kappa t} underflows
+DOMAIN_R = st.one_of(finite_floats(0.0, 3.0), finite_floats(0.0, math.inf), NEAR_EP, st.just(1.0))
+DOMAIN_T = st.one_of(finite_floats(0.0, 10.0), finite_floats(0.0, math.inf))
+
+
+@given(st.lists(st.tuples(DOMAIN_R, DOMAIN_T), min_size=1, max_size=40))
+@settings(deadline=None, max_examples=300)
+@pytest.mark.filterwarnings("error")
+def test_populations_array_matches_scalar_bit_for_bit(points):
+    # numpy warns where the scalar arithmetic overflows silently, and
+    # np.where evaluates both choices of d: neither may warn
+    points = points + PINNED_POINTS
+    r, t = np.array(points).T
+    want = np.array([qutrit_populations(PTParams(*p)) for p in points])
+    assert qutrit_populations_array(r, t).tobytes() == want.tobytes()
+
+
 @given(st.one_of(finite_floats(0.0, 10.0), NEAR_EP), finite_floats(0.0, 1e6))
 @settings(deadline=None, max_examples=300)
 def test_observables_match_mpmath(r, t):
@@ -393,6 +417,7 @@ def test_observables_match_mpmath(r, t):
     *pops, post = mp_observables(r, t)
     assert abs(return_probability(p) - pops[0]) <= oracle_tol(t)
     assert np.max(np.abs(qutrit_populations(p) - pops)) <= oracle_tol(t)
+    assert np.max(np.abs(array_populations(r, t) - pops)) <= oracle_tol(t)
     assert abs(postselected_population(p) - post) <= oracle_tol(t)
 
 
@@ -418,6 +443,7 @@ def test_observables_at_pinned_points(r, t):
     tol = oracle_tol(t) if t <= 1e6 else 1e-15
     assert abs(return_probability(p) - pops[0]) <= tol
     assert np.max(np.abs(qutrit_populations(p) - pops)) <= tol
+    assert np.max(np.abs(array_populations(r, t) - pops)) <= tol
     assert abs(postselected_population(p) - post) <= tol
     k = kernel(p)
     assert not any(math.isnan(x) for x in (k.c, k.s, k.a))  # inf is allowed
