@@ -7,21 +7,21 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .dilation import DilationError, general_dilation
+from .dilation import SIZE_CAP, DilationError, general_dilation
 from .experiment import (
-    MAX_SHOTS,
     BackendConfig,
     BackendKind,
     SweepGrid,
     SweepResult,
+    _check_seed,
     default_backend,
     load_confusion,
     postselect_ratios,
@@ -79,124 +79,80 @@ class RunConfig:
     output_csv: str = "sweep.csv"
     output_pgm: str | None = None
 
-    def effective_shots(self) -> int:
-        if self.shots is not None:
-            return self.shots
-        return default_backend(self.backend).shots
+
+def _choice(kind: type[Enum]) -> Callable[[str], Enum]:
+    def parse(value: str) -> Enum:
+        try:
+            return kind(value.lower())
+        except ValueError:
+            names = ", ".join(k.value for k in kind)
+            raise ValidationError(f"{value!r} is not one of {names}") from None
+
+    return parse
 
 
-_CONFIG_KEYS = frozenset(
-    {
-        "backend",
-        "shots",
-        "seed",
-        "r_min",
-        "r_max",
-        "r_steps",
-        "t_min",
-        "t_max",
-        "t_steps",
-        "observable",
-        "ions",
-        "epsilon",
-        "confusion_file",
-        "output_csv",
-        "output_pgm",
-    }
-)
+def _backend_field(name: str, convert: Callable[[str], object]) -> Callable[[str], object]:
+    """convert, then check the value as `BackendConfig` field name"""
+
+    def parse(value: str) -> object:
+        parsed = convert(value)
+        try:
+            BackendConfig(**{name: parsed})
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
+        return parsed
+
+    return parse
+
+
+# config key -> parser of its value; a plain ValueError means unparsable text
+_PARSERS: dict[str, Callable[[str], object]] = {
+    "backend": _choice(BackendKind),
+    "shots": _backend_field("shots", int),
+    "seed": _backend_field("seed", int),
+    "observable": _choice(Observable),
+    "ions": _backend_field("ion_count", int),
+    "epsilon": _backend_field("epsilon", lambda value: tuple(map(float, value.split(",")))),
+    "confusion_file": str,
+    "output_csv": str,
+    "output_pgm": str,
+    **dict.fromkeys(("r_min", "r_max", "t_min", "t_max"), float),
+    **dict.fromkeys(("r_steps", "t_steps"), int),
+}
+_GRID_KEYS = frozenset(f.name for f in fields(SweepGrid))
 
 
 def parse_config(text: str) -> RunConfig:
-    """key = value lines; blank lines and # comments ignored; unknown keys
-    rejected with their line number."""
-    raw: dict[str, tuple[int, str]] = {}
+    """key = value lines; blank lines and # comments ignored; each value is
+    checked as its line is read, the grid keys together at the end; the last
+    occurrence of a key wins."""
+    values: dict[str, object] = {}
     for ln, source in enumerate(text.splitlines(), start=1):
         line = source.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(f"line {ln}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _PARSERS:
             raise ParseError(f"line {ln}: unknown key {key!r}")
         if not value:
             raise ParseError(f"line {ln}: empty value for {key!r}")
-        raw[key] = (ln, value)  # last occurrence wins
-
-    def number(key: str, kind: type) -> float | int:
-        ln, value = raw[key]
         try:
-            return kind(value)
+            values[key] = _PARSERS[key](value)
+        except ValidationError as exc:
+            raise ValidationError(f"line {ln}: {exc}") from None
         except ValueError:
-            raise ParseError(
-                f"line {ln}: cannot parse {key} value {value!r}"
-            ) from None
-
-    cfg = RunConfig()
-    if "backend" in raw:
-        ln, value = raw["backend"]
-        try:
-            cfg.backend = BackendKind(value.lower())
-        except ValueError:
-            raise ValidationError(
-                f"line {ln}: backend must be one of theory, ion, transmon"
-            ) from None
-    if "shots" in raw:
-        shots = int(number("shots", int))
-        if not 1 <= shots <= MAX_SHOTS:
-            raise ValidationError(
-                f"line {raw['shots'][0]}: shots must be in 1..2**63 - 1"
-            )
-        cfg.shots = shots
-    if "seed" in raw:
-        seed = int(number("seed", int))
-        if not 0 <= seed < 2**64:
-            raise ValidationError(
-                f"line {raw['seed'][0]}: seed must fit in 64 unsigned bits"
-            )
-        cfg.seed = seed
-    grid_kwargs: dict[str, float | int] = {}
-    for key in ("r_min", "r_max", "t_min", "t_max"):
-        if key in raw:
-            grid_kwargs[key] = float(number(key, float))
-    for key in ("r_steps", "t_steps"):
-        if key in raw:
-            grid_kwargs[key] = int(number(key, int))
-    if grid_kwargs:
-        try:
-            cfg.grid = SweepGrid(**grid_kwargs)
-        except ValueError as exc:
-            raise ValidationError(f"grid: {exc}") from None
-    if "observable" in raw:
-        ln, value = raw["observable"]
-        try:
-            cfg.observable = Observable(value.lower())
-        except ValueError:
-            raise ValidationError(
-                f"line {ln}: observable must be return_prob or postselected"
-            ) from None
-    if "ions" in raw:
-        ions = int(number("ions", int))
-        if ions < 1:
-            raise ValidationError(f"line {raw['ions'][0]}: ions must be >= 1")
-        cfg.ions = ions
-    if "epsilon" in raw:
-        ln, value = raw["epsilon"]
-        try:
-            eps = tuple(float(x) for x in value.split(","))
-        except ValueError:
-            raise ParseError(f"line {ln}: epsilon must be a comma list of reals") from None
-        if not all(abs(e) < 0.5 for e in eps):
-            raise ValidationError(f"line {ln}: epsilon entries must satisfy |e| < 0.5")
-        cfg.epsilon = eps
-    if "confusion_file" in raw:
-        cfg.confusion_file = raw["confusion_file"][1]
-    if "output_csv" in raw:
-        cfg.output_csv = raw["output_csv"][1]
-    if "output_pgm" in raw:
-        cfg.output_pgm = raw["output_pgm"][1]
+            raise ParseError(f"line {ln}: cannot parse {key} value {value!r}") from None
+    try:
+        grid = SweepGrid(**{key: values.pop(key) for key in _GRID_KEYS & values.keys()})
+    except ValueError as exc:
+        raise ValidationError(f"grid: {exc}") from None
+    cfg = RunConfig(grid=grid, **values)
+    if cfg.output_pgm is not None:
+        outputs = (cfg.output_csv, cfg.output_pgm, cfg.output_pgm + ".mask")
+        if len(set(map(os.path.abspath, outputs))) < len(outputs):
+            raise ValidationError("output_csv, output_pgm and output_pgm + '.mask' must differ")
     return cfg
 
 
@@ -213,18 +169,15 @@ def build_backend(cfg: RunConfig) -> BackendConfig:
         )
         if value is not None
     }
-    if cfg.confusion_file is not None:
-        text = Path(cfg.confusion_file).read_text()
-        try:
-            overrides["confusion"] = load_confusion(
-                text, label=Path(cfg.confusion_file).name
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
     try:
-        return replace(default_backend(cfg.backend, cfg.seed), **overrides)
+        backend = replace(default_backend(cfg.backend, cfg.seed), **overrides)
+        if cfg.confusion_file is not None:
+            path = Path(cfg.confusion_file)
+            confusion = load_confusion(path.read_text(), label=path.name)
+            backend = replace(backend, confusion=confusion)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
+    return backend
 
 
 # rows per CSV block: the CSV is formatted and written a block at a time
@@ -318,10 +271,6 @@ def format_pgm(img: HeatmapImage, metadata: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _confusion_label(backend: BackendConfig) -> str:
-    return backend.confusion.label if backend.confusion is not None else "identity"
-
-
 def _write_text(path: str, text: str, append: bool = False) -> None:
     with open(path, "a" if append else "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
@@ -340,7 +289,7 @@ def write_outputs(cfg: RunConfig, backend: BackendConfig, points: SweepResult) -
     if cfg.output_pgm is not None:
         metadata = (
             f"backend={backend.kind.value} observable={cfg.observable.value}"
-            f" confusion={_confusion_label(backend)} shots={backend.shots}"
+            f" confusion={backend.confusion.label} shots={backend.shots}"
             f" seed={backend.seed} rows=r_max..r_min cols=t_min..t_max"
         )
         img = render_heatmap(cfg.grid, backend, cfg.observable, points)
@@ -375,8 +324,6 @@ def run_command(args: argparse.Namespace) -> int:
         if args.backend is not None:
             cfg.backend = BackendKind(args.backend)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ValidationError("--seed must fit in 64 unsigned bits")
             cfg.seed = args.seed
         backend = build_backend(cfg)
     except ConfigError as exc:
@@ -394,7 +341,7 @@ def run_command(args: argparse.Namespace) -> int:
         return EXIT_IO
     print(
         f"backend={backend.kind.value} shots={backend.shots} seed={backend.seed}"
-        f" confusion={_confusion_label(backend)} points={len(points)}"
+        f" confusion={backend.confusion.label} points={len(points)}"
         f" -> {cfg.output_csv}"
         + (f", {cfg.output_pgm}" if cfg.output_pgm is not None else "")
     )
@@ -450,11 +397,12 @@ def _random_contraction(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 def dilation_check_command(args: argparse.Namespace) -> int:
     n, m, trials = args.n, args.m, args.trials
-    if n < 1 or m < 0 or n + m > 16 or trials < 1:
-        print(
-            "config error: need n >= 1, m >= 0, n + m <= 16, trials >= 1",
-            file=sys.stderr,
-        )
+    try:
+        _check_seed("--seed", args.seed)
+        if n < 1 or m < 0 or n + m > SIZE_CAP or trials < 1:
+            raise ValueError(f"need n >= 1, m >= 0, n + m <= {SIZE_CAP}, trials >= 1")
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     worst_unitarity = 0.0

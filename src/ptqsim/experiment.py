@@ -94,6 +94,11 @@ def _check_shots(name: str, shots: int) -> None:
         raise ValueError(f"{name} must be in 1..2**63 - 1")
 
 
+def _check_seed(name: str, seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must fit in 64 unsigned bits")
+
+
 class BackendKind(Enum):
     THEORY = "theory"
     ION = "ion"
@@ -104,7 +109,7 @@ class BackendKind(Enum):
 class BackendConfig:
     kind: BackendKind = BackendKind.THEORY
     shots: int = 512
-    confusion: ConfusionMatrix | None = None  # None means identity
+    confusion: ConfusionMatrix | None = None  # None resolves to the identity
     ion_count: int = 5
     epsilon: tuple[float, ...] = ()
     seed: int = 0
@@ -116,8 +121,9 @@ class BackendConfig:
             raise ValueError("ion_count must be at least 1")
         if not all(abs(e) < 0.5 for e in self.epsilon):
             raise ValueError("per-ion over-rotation must satisfy |epsilon| < 0.5")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_seed("seed", self.seed)
+        if self.confusion is None:
+            object.__setattr__(self, "confusion", identity_confusion())
 
 
 def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
@@ -125,7 +131,6 @@ def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
     if kind is BackendKind.ION:
         return BackendConfig(
             kind=kind,
-            shots=512,
             confusion=synthetic_confusion(DEFAULT_ION_DIAGONAL, "synthetic-ion-0.97"),
             epsilon=DEFAULT_ION_EPSILON,
             seed=seed,
@@ -139,13 +144,7 @@ def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
             ),
             seed=seed,
         )
-    return BackendConfig(kind=BackendKind.THEORY, shots=512, seed=seed)
-
-
-def _backend_confusion(backend: BackendConfig) -> ConfusionMatrix:
-    if backend.confusion is not None:
-        return backend.confusion
-    return identity_confusion()
+    return BackendConfig(kind=BackendKind.THEORY, seed=seed)
 
 
 def _ion_epsilon(backend: BackendConfig, ion_index: int) -> float:
@@ -184,10 +183,8 @@ def _probabilities(
         ])
     else:
         true_probs = qutrit_populations_array(r, t)
-    if backend.kind is BackendKind.THEORY:
-        return true_probs
     # one matrix-vector product per row, as `C @ p` of a single point
-    return (_backend_confusion(backend).entries[None] @ true_probs[:, :, None])[..., 0]
+    return (backend.confusion.entries[None] @ true_probs[:, :, None])[..., 0]
 
 
 def exact_probabilities(
@@ -196,9 +193,9 @@ def exact_probabilities(
     """Declared-outcome distribution for the embedded evolution of |0>.
 
     Only the ion backend has gate-level error, so only it is emulated on
-    native pulses. Theory reads the closed-form populations; transmon pulses
-    reproduce the qutrit unitary exactly, so it sees those same populations
-    through readout confusion."""
+    native pulses. Theory and transmon read the closed-form populations, as
+    transmon pulses reproduce the qutrit unitary exactly. Every backend sees
+    them through its readout confusion, the identity for theory by default."""
     return _probabilities(
         backend, np.array([p.r], float), np.array([p.t], float), np.array([ion_index])
     )[0]
@@ -515,7 +512,7 @@ def estimate_confusion(
     """Prepare each basis state, read it out through the backend's true
     matrix, and column-normalize the empirical counts."""
     _check_shots("preparations_per_state", preparations_per_state)
-    true = _backend_confusion(backend)
+    true = backend.confusion
     columns = []
     for prepared in range(3):
         seed = derive_seed(backend.seed, 1, prepared)

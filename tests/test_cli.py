@@ -4,8 +4,10 @@ and the CSV/PGM output contracts."""
 import csv
 import dataclasses
 import math
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,16 @@ import pytest
 from conftest import mp_observables
 from ptqsim import cli
 from ptqsim.dilation import qutrit_circuit
-from ptqsim.experiment import BackendKind, SweepGrid, default_backend, sweep
+from ptqsim.experiment import (
+    BackendConfig,
+    BackendKind,
+    SweepGrid,
+    default_backend,
+    load_confusion,
+    sweep,
+)
 from ptqsim.gates import GateKind, format_circuit, parse_circuit, rx
-from ptqsim.model import PTParams, return_probability
+from ptqsim.model import PTParams, qutrit_populations, return_probability
 
 HALF_PI = math.pi / 2.0
 
@@ -40,16 +49,19 @@ def read_pgm(path):
 def test_parse_config_defaults():
     cfg = cli.parse_config("")
     assert cfg.backend is BackendKind.THEORY
-    assert cfg.shots is None and cfg.effective_shots() == 512
+    assert cfg.shots is None and cli.build_backend(cfg).shots == 512
     assert cfg.grid == SweepGrid()
     assert cfg.observable is cli.Observable.RETURN_PROB
     assert cfg.output_csv == "sweep.csv" and cfg.output_pgm is None
 
 
 def test_parse_config_backend_shot_defaults():
-    assert cli.parse_config("backend = ion\n").effective_shots() == 512
-    assert cli.parse_config("backend = transmon\n").effective_shots() == 8192
-    assert cli.parse_config("backend = transmon\nshots = 99\n").effective_shots() == 99
+    def shots(text):
+        return cli.build_backend(cli.parse_config(text)).shots
+
+    assert shots("backend = ion\n") == 512
+    assert shots("backend = transmon\n") == 8192
+    assert shots("backend = transmon\nshots = 99\n") == 99
 
 
 def test_parse_config_values_and_precedence():
@@ -96,6 +108,9 @@ def test_parse_config_errors():
         cli.parse_config("epsilon = 0.01, huge\n")
     with pytest.raises(cli.ValidationError):
         cli.parse_config("epsilon = 0.7\n")
+    # each line is checked as it is read, also when a later line sets the key again
+    with pytest.raises(cli.ValidationError, match="line 1"):
+        cli.parse_config("shots = 0\nshots = 5\n")
 
 
 @pytest.mark.parametrize(
@@ -110,6 +125,81 @@ def test_run_rejects_nan_epsilon_and_oversized_shots(tmp_path, capsys, line):
     assert run_cli(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error: line 1: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    ("key", "field", "value"),
+    [
+        ("shots", "shots", 0),
+        ("shots", "shots", 2**63),
+        ("seed", "seed", 2**64),
+        ("ions", "ion_count", 0),
+        ("epsilon", "epsilon", (math.nan,)),
+        ("epsilon", "epsilon", (0.7,)),
+    ],
+)
+def test_backend_keys_take_backend_config_range_checks(tmp_path, capsys, key, field, value):
+    with pytest.raises(ValueError) as rejected:
+        BackendConfig(**{field: value})
+    text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    config = f"backend = ion\n{key} = {text}\nr_steps = 2\n"
+    with pytest.raises(cli.ValidationError, match=r"line 2: "):
+        cli.parse_config(config)
+    cfg = write_config(
+        tmp_path, f"{config}output_csv = {tmp_path}/out.csv\noutput_pgm = {tmp_path}/out.pgm\n"
+    )
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: line 2: {rejected.value}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    ("csv_name", "pgm_name"),
+    [("c.pgm.mask", "c.pgm"), ("d.out", "d.out"), ("e.pgm", "sub/../e.pgm")],
+)
+def test_run_rejects_colliding_output_paths(tmp_path, capsys, monkeypatch, csv_name, pgm_name):
+    def no_sweep(*args):
+        raise AssertionError("colliding outputs reached the sweep")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(
+        tmp_path, f"r_steps = 2\nt_steps = 2\noutput_csv = {csv_name}\noutput_pgm = {pgm_name}\n"
+    )
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: output_csv, output_pgm")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_run_theory_applies_its_confusion_file(tmp_path, capsys):
+    cm_file = tmp_path / "cal.txt"
+    cm_file.write_text("0.9 0.05 0.02 0.06 0.9 0.08 0.04 0.05 0.9\n")
+    confusion = load_confusion(cm_file.read_text()).entries
+    csv_path, pgm_path = tmp_path / "out.csv", tmp_path / "out.pgm"
+    cfg_path = write_config(
+        tmp_path,
+        f"r_steps = 2\nt_steps = 2\nr_max = 1.5\nt_max = 2.0\nconfusion_file = {cm_file}\n"
+        f"output_csv = {csv_path}\noutput_pgm = {pgm_path}\n",
+    )
+    assert run_cli(["run", "--config", str(cfg_path)]) == 0
+    assert "confusion=cal.txt" in capsys.readouterr().out
+    assert "confusion=cal.txt" in pgm_path.read_text().splitlines()[1]
+
+    cfg = cli.parse_config(cfg_path.read_text())
+    points = sweep(cfg.grid, cli.build_backend(cfg))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert len(rows) == len(points) == 4
+    for row, pt in zip(rows, points):
+        want = confusion @ qutrit_populations(PTParams(pt.r, pt.t))
+        assert pt.p_exact.tobytes() == want.tobytes()
+        assert [row["p0"], row["p1"], row["p2"]] == [f"{x:.12g}" for x in want]
+    assert any(pt.p_exact[0] != qutrit_populations(PTParams(pt.r, pt.t))[0] for pt in points)
+
+
+def test_readme_config_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### `ptqsim run`")[1].split("\n### ")[0]
+    assert sorted(re.findall(r"^\| `(\w+)`", section, flags=re.M)) == sorted(cli._PARSERS)
 
 
 def test_run_takes_the_largest_shot_count(tmp_path):
@@ -134,9 +224,10 @@ def test_build_backend_defaults_and_confusion_file(tmp_path):
     backend = cli.build_backend(cfg)
     assert backend.confusion.label == "cal.txt"
 
-    cm_file.write_text("not a matrix\n")
-    with pytest.raises(cli.ValidationError):
-        cli.build_backend(cfg)
+    for contents in (b"not a matrix\n", b"\xff\xfe not text\n"):
+        cm_file.write_bytes(contents)
+        with pytest.raises(cli.ValidationError):
+            cli.build_backend(cfg)
 
     cfg = cli.parse_config("confusion_file = /nonexistent/cal.txt\n")
     with pytest.raises(OSError):
@@ -404,7 +495,11 @@ def test_run_flag_overrides(tmp_path, capsys):
     assert run_cli(["run", "--config", str(cfg), "--backend", "transmon", "--seed", "9"]) == 0
     out = capsys.readouterr().out
     assert "backend=transmon" in out and "seed=9" in out and "shots=8192" in out
-    assert run_cli(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+    before = csv_path.read_bytes()
+    for seed in (-1, 2**64):
+        assert run_cli(["run", "--config", str(cfg), "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == "config error: seed must fit in 64 unsigned bits\n"
+    assert csv_path.read_bytes() == before
 
 
 def test_run_exit_codes(tmp_path):
@@ -506,6 +601,11 @@ def test_dilation_check_subcommand(capsys):
     assert run_cli(["dilation-check", "--n", "4", "--m", "0", "--trials", "5"]) == 0
     capsys.readouterr()
     assert run_cli(["dilation-check", "--n", "12", "--m", "12", "--trials", "1"]) == 2
+    assert run_cli(["dilation-check", "--trials", "1", "--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
+    for seed in (-1, 2**64):
+        assert run_cli(["dilation-check", "--trials", "1", "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == "config error: --seed must fit in 64 unsigned bits\n"
 
 
 def test_main_requires_subcommand():

@@ -118,7 +118,8 @@ def test_default_backends():
     assert tm.shots == 8192
     assert tm.confusion is not None and tm.confusion.label == "synthetic-transmon-0.876"
     th = default_backend(BackendKind.THEORY)
-    assert th.shots == 512 and th.confusion is None
+    assert th.shots == 512 and th.confusion.label == "identity"
+    assert np.array_equal(th.confusion.entries, np.eye(3))
 
 
 def test_exact_probabilities_theory():
