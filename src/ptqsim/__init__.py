@@ -12,7 +12,6 @@ from .dilation import (
     NormTooLarge,
     RankTooLarge,
     ShiftTooSmall,
-    Singular,
     ZeroMatrix,
     embed_check,
     general_dilation,

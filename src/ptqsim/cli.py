@@ -158,8 +158,8 @@ def parse_config(text: str) -> RunConfig:
 
 def build_backend(cfg: RunConfig) -> BackendConfig:
     """The default backend of the configured kind with the configured values
-    applied; reads the confusion file when configured (OSError propagates to
-    the caller as an I/O failure)."""
+    applied; reads the confusion file, as UTF-8, when configured (OSError
+    propagates to the caller as an I/O failure)."""
     overrides = {
         key: value
         for key, value in (
@@ -173,8 +173,10 @@ def build_backend(cfg: RunConfig) -> BackendConfig:
         backend = replace(default_backend(cfg.backend, cfg.seed), **overrides)
         if cfg.confusion_file is not None:
             path = Path(cfg.confusion_file)
-            confusion = load_confusion(path.read_text(), label=path.name)
+            confusion = load_confusion(path.read_text(encoding="utf-8"), label=path.name)
             backend = replace(backend, confusion=confusion)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{cfg.confusion_file} is not UTF-8: {exc}") from None
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     return backend
@@ -276,14 +278,28 @@ def _write_text(path: str, text: str, append: bool = False) -> None:
         fh.write(text)
 
 
+def _replace_files(texts: dict[str, Iterable[str]]) -> None:
+    """Write each path's text, a block at a time, to a temp file beside it,
+    then replace the paths; a failed write leaves every path as it was and
+    no temp file behind (OSError propagates to the caller)."""
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in texts}
+    try:
+        for path, blocks in texts.items():
+            for i, text in enumerate(blocks):
+                _write_text(temps[path], text, append=i > 0)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            Path(temp).unlink(missing_ok=True)
+
+
 def write_outputs(cfg: RunConfig, backend: BackendConfig, points: SweepResult) -> None:
     """Write the CSV and, when configured, the PGM heatmap with a `.mask`
     sidecar listing its missing points; a mask left by an earlier run is
     removed when no point is missing. Every artifact is rendered and written
-    to a temp file beside its target before any target is replaced, so a
-    failed write leaves the earlier artifacts as they were (OSError
-    propagates to the caller). The CSV is rendered and written a block of
-    rows at a time."""
+    to a temp file before any target is replaced (`_replace_files`). The CSV
+    is rendered and written a block of rows at a time."""
     texts: dict[str, Iterable[str]] = {cfg.output_csv: _csv_blocks(points, backend)}
     stale_mask = None
     if cfg.output_pgm is not None:
@@ -299,34 +315,25 @@ def write_outputs(cfg: RunConfig, backend: BackendConfig, points: SweepResult) -
             texts[mask_path] = ["".join(f"{i_r} {i_t}\n" for i_r, i_t in img.missing)]
         else:
             stale_mask = mask_path
-    temps = {path: f"{path}.{os.getpid()}.tmp" for path in texts}
-    try:
-        for path, blocks in texts.items():
-            for i, text in enumerate(blocks):
-                _write_text(temps[path], text, append=i > 0)
-        for path, temp in temps.items():
-            os.replace(temp, path)
-    finally:
-        for temp in temps.values():
-            Path(temp).unlink(missing_ok=True)
+    _replace_files(texts)
     if stale_mask is not None:
         Path(stale_mask).unlink(missing_ok=True)
 
 
 def run_command(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.config).read_text()
+        data = Path(args.config).read_bytes()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(data.decode("utf-8"))
         if args.backend is not None:
             cfg.backend = BackendKind(args.backend)
         if args.seed is not None:
             cfg.seed = args.seed
         backend = build_backend(cfg)
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -350,16 +357,16 @@ def run_command(args: argparse.Namespace) -> int:
 
 def transpile_command(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.input).read_text()
+        data = Path(args.input).read_bytes()
     except OSError as exc:
         print(f"error: cannot read circuit: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        circuit = parse_circuit(text)
+        circuit = parse_circuit(data.decode("utf-8"))
         transpiled = (
             transpile_ion(circuit) if args.target == "ion" else transpile_transmon(circuit)
         )
-    except (CircuitParseError, UnsupportedGate) as exc:
+    except (CircuitParseError, UnsupportedGate, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not equivalent(circuit, transpiled, 1e-10, up_to_phase=False):
@@ -369,7 +376,7 @@ def transpile_command(args: argparse.Namespace) -> int:
         )
         return EXIT_EQUIVALENCE
     try:
-        _write_text(args.output, format_circuit(transpiled))
+        _replace_files({args.output: [format_circuit(transpiled)]})
     except OSError as exc:
         print(f"error: cannot write circuit: {exc}", file=sys.stderr)
         return EXIT_IO

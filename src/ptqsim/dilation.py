@@ -1,8 +1,8 @@
 """Unitary embeddings of non-unitary operators.
 
 Two routes: the specialized three-rotation qutrit circuit whose upper 2x2
-block is V/sigma_max, and a general completion of any n x n contraction to
-an (n+m) x (n+m) unitary.
+block is V/sigma_max, and a general completion of any finite n x n
+contraction to an (n+m) x (n+m) unitary, read from one SVD.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Circuit, circuit_unitary, rx
-from .linalg import dag, expm_taylor, is_unitary
+from .linalg import expm_taylor, is_unitary
 from .model import PTParams, _angles, _postselected, hamiltonian, kernel
 
 SIZE_CAP = 16
@@ -31,10 +31,6 @@ class RankTooLarge(DilationError):
     """rank(1 - a^dag a) exceeds the number of ancilla dimensions."""
 
 
-class Singular(DilationError):
-    """The block must be invertible for this completion."""
-
-
 class ZeroMatrix(DilationError):
     """No positive singular value to rescale by."""
 
@@ -48,7 +44,6 @@ class Dilation:
     u: np.ndarray
     n: int
     m: int
-    lam: float
 
 
 def qutrit_circuit(p: PTParams) -> Circuit:
@@ -82,58 +77,50 @@ def embed_check(u: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-10) ->
 
 
 def rescale_to_contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(a / sigma_max, sigma_max) with sigma_max from the Gram spectrum."""
+    """(a / sigma_max, sigma_max) with sigma_max from LAPACK's SVD."""
     a = np.asarray(a, dtype=complex)
-    eigs = np.linalg.eigvalsh(dag(a) @ a)
-    sigma_max = math.sqrt(max(float(eigs[-1]), 0.0))
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
     if sigma_max < 1e-14:
         raise ZeroMatrix("largest singular value below 1e-14")
     return a / sigma_max, sigma_max
 
 
 def general_dilation(a: np.ndarray, m: int) -> Dilation:
-    """Complete an invertible n x n contraction a to an (n+m) unitary
-    [[a, b], [c, d]] with c built from the eigenbasis square root of
-    1 - a^dag a and d from the whitening of c.a^-1."""
+    """Complete an n x n contraction a = U.S.V^dag to the (n+m) unitary
+    [[a, -U_K.D], [D.V_K^dag, S_K]] of Halmos (1950), with the identity on
+    any further ancillas. K holds the k = min(n, m) smallest singular values
+    and D = sqrt(1 - S_K^2); every singular value outside K must be 1 within
+    the 1e-12 tolerance on 1 - s^2."""
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("a must be a nonempty square matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise ValueError("a must be square")
     if m < 0:
         raise ValueError("m must be nonnegative")
     if n + m > SIZE_CAP:
         raise ValueError(f"n + m exceeds the size cap {SIZE_CAP}")
 
-    p = np.eye(n, dtype=complex) - dag(a) @ a
-    evals, evecs = np.linalg.eigh(p)
-    if float(evals[0]) < -1e-12:
-        raise NormTooLarge(
-            f"1 - a^dag a has eigenvalue {float(evals[0]):.3e}; "
-            "operator norm exceeds 1"
-        )
-    evals = np.clip(evals, 0.0, None)
-    rank = int(np.sum(evals > 1e-12))
+    left, sigma, right_dag = np.linalg.svd(a)
+    # 1 - s^2 >= -1e-12, tested without squaring s, which may overflow
+    if sigma[0] > math.sqrt(1.0 + 1e-12):
+        raise NormTooLarge(f"largest singular value {sigma[0]:.6g} exceeds 1")
+    defect = (1.0 - sigma) * (1.0 + sigma)
+    rank = int(np.sum(defect > 1e-12))
     if rank > m:
         raise RankTooLarge(f"rank(1 - a^dag a) = {rank} exceeds m = {m}")
-    if abs(np.linalg.det(a)) <= 1e-12:
-        raise Singular("block is numerically singular")
-    if m == 0:
-        return Dilation(u=a.copy(), n=n, m=0, lam=1.0)
 
-    # top k = min(n, m) eigenpairs carry all of the defect; extra ancilla
-    # rows of c are zero
     k = min(n, m)
-    order = np.argsort(evals)[::-1][:k]
-    c_top = np.sqrt(evals[order])[:, None] * dag(evecs[:, order])
-    c = np.vstack([c_top, np.zeros((m - k, n), dtype=complex)])
-
-    ca = c @ np.linalg.inv(a)
-    kk = ca @ dag(ca) + np.eye(m, dtype=complex)
-    k_evals, k_evecs = np.linalg.eigh(kk)
-    d = k_evecs @ np.diag(1.0 / np.sqrt(k_evals))
-    b = -dag(np.linalg.inv(a)) @ dag(c) @ d
-    u = np.block([[a, b], [c, d]])
-    return Dilation(u=u, n=n, m=m, lam=1.0)
+    d = np.sqrt(np.clip(defect[n - k :], 0.0, None))
+    u = np.eye(n + m, dtype=complex)
+    u[:n, :n] = a
+    u[:n, n : n + k] = -left[:, n - k :] * d
+    u[n : n + k, :n] = d[:, None] * right_dag[n - k :]
+    u[n : n + k, n : n + k] = np.diag(sigma[n - k :])
+    return Dilation(u=u, n=n, m=m)
 
 
 def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:

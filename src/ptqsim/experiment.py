@@ -187,6 +187,13 @@ def _probabilities(
     return (backend.confusion.entries[None] @ true_probs[:, :, None])[..., 0]
 
 
+def _ion_column(backend: BackendConfig, ion_index: int) -> np.ndarray:
+    """[ion_index], which on the ion backend must name one of its ions."""
+    if backend.kind is BackendKind.ION and not 0 <= ion_index < backend.ion_count:
+        raise ValueError(f"ion_index {ion_index} outside 0..{backend.ion_count - 1}")
+    return np.array([ion_index])
+
+
 def exact_probabilities(
     p: PTParams, backend: BackendConfig, ion_index: int = 0
 ) -> np.ndarray:
@@ -197,7 +204,7 @@ def exact_probabilities(
     transmon pulses reproduce the qutrit unitary exactly. Every backend sees
     them through its readout confusion, the identity for theory by default."""
     return _probabilities(
-        backend, np.array([p.r], float), np.array([p.t], float), np.array([ion_index])
+        backend, np.array([p.r], float), np.array([p.t], float), _ion_column(backend, ion_index)
     )[0]
 
 
@@ -445,16 +452,17 @@ def run_point(
     grid_key: tuple[int, int] = (0, 0),
 ) -> ExperimentPoint:
     """One point of `sweep`: the grid indices in grid_key key its stream."""
-    if backend.kind is BackendKind.ION and not 0 <= ion_index < backend.ion_count:
-        raise ValueError(f"ion_index {ion_index} outside 0..{backend.ion_count - 1}")
+    ion = _ion_column(backend, ion_index)
     i_r, i_t = grid_key
+    if not (0 <= i_r <= _MASK32 and 0 <= i_t <= _MASK32):
+        raise ValueError(f"grid_key entries must lie in 0..2**32 - 1, got {grid_key}")
     return _emulate(
         backend,
         np.array([p.r], float),
         np.array([p.t], float),
         np.array([i_r]),
         np.array([i_t]),
-        np.array([ion_index]),
+        ion,
     )[0]
 
 

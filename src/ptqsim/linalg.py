@@ -50,72 +50,20 @@ class Svd2(NamedTuple):
     right: np.ndarray
 
 
-def _orthonormal_partner(v: np.ndarray) -> np.ndarray:
-    """The (unique up to phase) unit vector orthogonal to a 2-vector."""
-    return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
-
-
 def svd2(m: np.ndarray) -> Svd2:
-    """Closed-form SVD of a 2x2 matrix via the eigen-decomposition of m^dag m.
+    """SVD of a 2x2 matrix by LAPACK: descending singular values and unitary
+    factors with left . diag(sigma_plus, sigma_minus) . right^dag = m.
 
-    Returns descending singular values and unitary factors with
-    left . diag(sigma_plus, sigma_minus) . right^dag = m.
-
-    m is first divided by a power of two (exact in binary) that brings
-    max|m_ij| into [1, 2), so the Gram matrix neither underflows nor
-    overflows at any scale; the singular values are scaled back at the end
-    (the guard of LAPACK's dlasv2, Demmel & Kahan 1990).
+    LAPACK rescales a matrix whose entries lie near either end of the float
+    range, so the result holds at any magnitude.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-    biggest = float(np.max(np.abs(m)))
-    if biggest == 0.0:
-        return Svd2(0.0, 0.0, I2.copy(), I2.copy())
-    scale = math.ldexp(1.0, math.frexp(biggest)[1] - 1)
-    # real and imaginary parts apart: complex division by a subnormal overflows
-    m = m.real / scale + 1j * (m.imag / scale)
-    g = dag(m) @ m
-    g00 = g[0, 0].real
-    g11 = g[1, 1].real
-    g01 = g[0, 1]
-    mean = 0.5 * (g00 + g11)
-    disc = math.hypot(0.5 * (g00 - g11), abs(g01))
-    lam_plus = mean + disc
-    sigma_plus = math.sqrt(lam_plus)
-    # mean - disc cancels catastrophically once sigma_plus >> sigma_minus;
-    # the 2x2 identity sigma+ . sigma- = |det m| stays accurate there
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    sigma_minus = min(abs(det) / sigma_plus, sigma_plus)
-    if abs(g01) == 0.0 or disc <= 1e-18 * mean:
-        # (near-)diagonal Gram matrix: basis vectors are eigenvectors
-        if g00 >= g11:
-            v_plus = np.array([1.0, 0.0], dtype=complex)
-        else:
-            v_plus = np.array([0.0, 1.0], dtype=complex)
-    else:
-        # pick the eigenvector formula whose leading component is the
-        # better-conditioned one (it is at least disc in magnitude)
-        if g00 >= g11:
-            v_plus = np.array([lam_plus - g11, np.conj(g01)], dtype=complex)
-        else:
-            v_plus = np.array([g01, lam_plus - g00], dtype=complex)
-        v_plus = v_plus / np.linalg.norm(v_plus)
-    v_minus = _orthonormal_partner(v_plus)
-
-    u_plus = m @ v_plus / sigma_plus
-    u_plus = u_plus / np.linalg.norm(u_plus)
-    if sigma_minus > 1e-14 * sigma_plus:
-        # normalizing m . v- recovers the left vector with its phase
-        u_minus = m @ v_minus / sigma_minus
-        u_minus = u_minus - np.vdot(u_plus, u_minus) * u_plus
-        u_minus = u_minus / np.linalg.norm(u_minus)
-    else:
-        # rank-deficient: any orthonormal completion works
-        u_minus = _orthonormal_partner(u_plus)
-    left = np.column_stack([u_plus, u_minus])
-    right = np.column_stack([v_plus, v_minus])
-    return Svd2(float(sigma_plus) * scale, float(sigma_minus) * scale, left, right)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    left, sigma, right_dag = np.linalg.svd(m)
+    return Svd2(float(sigma[0]), float(sigma[1]), left, dag(right_dag))
 
 
 def dist_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:

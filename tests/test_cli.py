@@ -3,6 +3,7 @@ and the CSV/PGM output contracts."""
 
 import csv
 import dataclasses
+import errno
 import math
 import re
 import shutil
@@ -521,6 +522,23 @@ def test_run_exit_codes(tmp_path):
     assert run_cli(["run", "--config", str(tmp_path / "absent.cfg"), "--workers", "0"]) == 2
 
 
+def test_run_rejects_undecodable_inputs(tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    not_utf8 = b"\xff\xfe"
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(not_utf8 + f"output_csv = {csv_path}\n".encode("utf-16-le"))
+    cal = tmp_path / "cal.txt"
+    cal.write_bytes(not_utf8 + b"1 0 0 0 1 0 0 0 1\n")
+    conf_cfg = write_config(
+        tmp_path, f"confusion_file = {cal}\noutput_csv = {csv_path}\n", name="conf.cfg"
+    )
+    for path in (cfg, conf_cfg):
+        assert run_cli(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'utf-8' codec can't decode" in err
+    assert not csv_path.exists()
+
+
 def test_run_rejects_oversized_grid(tmp_path, capsys, monkeypatch):
     def no_sweep(*args):
         raise AssertionError("an oversized grid reached the sweep")
@@ -588,6 +606,33 @@ def test_transpile_error_exit_codes(tmp_path):
     assert run_cli(
         ["transpile", "--target", "ion", str(ok), str(tmp_path / "no/dir/x.txt")]
     ) == 1
+
+
+def test_transpile_rejects_undecodable_circuit(tmp_path, capsys):
+    src = tmp_path / "circ.txt"
+    src.write_bytes(b"\xff\xfe" + "RX 0 1 0.5\n".encode("utf-16-le"))
+    out = tmp_path / "out.txt"
+    assert run_cli(["transpile", "--target", "ion", str(src), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'utf-8' codec can't decode" in err
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
+def test_transpile_failed_write_keeps_earlier_output(tmp_path, monkeypatch):
+    src = tmp_path / "circ.txt"
+    src.write_text(format_circuit(qutrit_circuit(PTParams(0.5, 1.0))))
+    out = tmp_path / "out.txt"
+    out.write_text("earlier run\n")
+
+    def file_too_large(path, text, append=False):
+        # opened for writing, then past the file-size limit
+        open(path, "a" if append else "w").close()
+        raise OSError(errno.EFBIG, "File too large", path)
+
+    monkeypatch.setattr(cli, "_write_text", file_too_large)
+    assert run_cli(["transpile", "--target", "ion", str(src), str(out)]) == 1
+    assert out.read_text() == "earlier run\n"
+    assert sorted(tmp_path.iterdir()) == [src, out]
 
 
 def test_dilation_check_subcommand(capsys):

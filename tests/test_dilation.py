@@ -14,7 +14,6 @@ from ptqsim.dilation import (
     NormTooLarge,
     RankTooLarge,
     ShiftTooSmall,
-    Singular,
     ZeroMatrix,
     embed_check,
     general_dilation,
@@ -122,6 +121,7 @@ def test_rank_reduction_of_rescaled_block():
             assert above == 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_rescale_to_contraction_examples():
     rng = np.random.default_rng(67)
     u = _haar_unitary(3, rng)
@@ -135,13 +135,21 @@ def test_rescale_to_contraction_examples():
     assert lam == pytest.approx(math.sqrt(2.0) + 1.0, abs=1e-12)
     with pytest.raises(ZeroMatrix):
         rescale_to_contraction(np.zeros((3, 3)))
+    # a^dag a overflows past entries of about 1.3e154
+    a = np.array([[1.0, 2.0j], [0.5, 3.0]])
+    scaled, lam = rescale_to_contraction(1e160 * a)
+    assert np.all(np.isfinite(scaled))
+    assert lam == pytest.approx(1e160 * np.linalg.norm(a, 2), rel=1e-12)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rescale_to_contraction(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_general_dilation_identity_block():
     dil = general_dilation(I2, 1)
     assert isinstance(dil, Dilation)
-    assert (dil.n, dil.m, dil.lam) == (2, 1, 1.0)
-    assert np.max(np.abs(dil.u - I3)) < 1e-12
+    assert (dil.n, dil.m) == (2, 1)
+    assert np.array_equal(dil.u, I3)
 
 
 def test_general_dilation_of_rescaled_evolution():
@@ -186,15 +194,23 @@ def test_general_dilation_zero_ancilla_unitary():
     assert np.array_equal(dil.u, u)
 
 
+@pytest.mark.filterwarnings("error")
 def test_general_dilation_error_conditions():
-    with pytest.raises(NormTooLarge):
-        general_dilation(1.5 * I2, 2)
+    for a in (1.5 * I2, 1e200 * I2, 1e200 * np.array([[1.0, 2.0j], [0.5, 3.0]])):
+        with pytest.raises(NormTooLarge):
+            general_dilation(a, 2)
     with pytest.raises(RankTooLarge):
         general_dilation(0.5 * I2, 1)
     with pytest.raises(RankTooLarge):
         general_dilation(0.5 * np.eye(4, dtype=complex), 0)
-    with pytest.raises(Singular):
-        general_dilation(np.diag([0.5, 1e-13]).astype(complex), 2)
+    # singular blocks complete like any other contraction
+    for a in (np.diag([0.5, 1e-13]).astype(complex), np.zeros((2, 2), dtype=complex)):
+        u = general_dilation(a, 2).u
+        assert float(np.max(np.abs(dag(u) @ u - np.eye(4)))) <= 1e-12
+        assert np.array_equal(u[:2, :2], a)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            general_dilation(np.array([[1.0, bad], [0.0, 1.0]]), 2)
     with pytest.raises(ValueError):
         general_dilation(I2, -1)
     with pytest.raises(ValueError):

@@ -472,6 +472,16 @@ def test_run_point_ion_index_bounds():
     assert pt.ion == 2
     pt = run_point(PTParams(0.5, 1.0), theory_backend())
     assert pt.ion is None
+    # three ions under the five default over-rotations: index 4 and -1 both
+    # name epsilon[4], which no ion of this backend has
+    three = BackendConfig(kind=BackendKind.ION, ion_count=3, epsilon=DEFAULT_ION_EPSILON)
+    for ion_index in (3, 4, -1):
+        for call in (run_point, exact_probabilities):
+            with pytest.raises(ValueError, match=rf"ion_index {ion_index} outside 0\.\.2"):
+                call(PTParams(0.5, 1.0), three, ion_index)
+    for grid_key in ((2**32, 0), (0, -1)):
+        with pytest.raises(ValueError, match="grid_key"):
+            run_point(PTParams(0.5, 1.0), three, grid_key=grid_key)
 
 
 def test_sweep_grid_validation():

@@ -96,9 +96,13 @@ def test_svd2_zero_matrix():
     assert is_unitary(res.left, 1e-12) and is_unitary(res.right, 1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_svd2_rejects_wrong_shape():
     with pytest.raises(ValueError):
         svd2(I3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            svd2(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize(
