@@ -51,10 +51,8 @@ from .gates import (
     format_circuit,
     gate_matrix,
     parse_circuit,
-    phase2,
     rion,
     rx,
-    ry,
     rz,
     stats,
     transpile_ion,

@@ -230,8 +230,6 @@ def _csv_blocks(points: SweepResult, backend: BackendConfig) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class HeatmapImage:
-    width: int
-    height: int
     pixels: np.ndarray  # uint8, row 0 = r_max
     missing: tuple[tuple[int, int], ...]  # (r_index, t_index) of absent values
 
@@ -255,8 +253,6 @@ def render_heatmap(
     levels = np.rint(255.0 * np.clip(values, 0.0, 1.0))
     levels[missing] = 0.0
     return HeatmapImage(
-        width=grid.t_steps,
-        height=grid.r_steps,
         pixels=levels.astype(np.uint8)[::-1],
         missing=tuple(map(tuple, np.argwhere(missing).tolist())),
     )
@@ -266,7 +262,8 @@ def format_pgm(img: HeatmapImage, metadata: str) -> str:
     lines = ["P2"]
     if metadata:
         lines.append(f"# {metadata}")
-    lines.append(f"{img.width} {img.height}")
+    height, width = img.pixels.shape
+    lines.append(f"{width} {height}")
     lines.append("255")
     for row in img.pixels.tolist():
         lines.append(" ".join(map(str, row)))

@@ -42,8 +42,6 @@ class ShiftTooSmall(DilationError):
 @dataclass(frozen=True, eq=False)
 class Dilation:
     u: np.ndarray
-    n: int
-    m: int
 
 
 def qutrit_circuit(p: PTParams) -> Circuit:
@@ -77,13 +75,24 @@ def embed_check(u: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-10) ->
 
 
 def rescale_to_contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(a / sigma_max, sigma_max) with sigma_max from LAPACK's SVD."""
+    """(a / sigma_max, sigma_max) with sigma_max from LAPACK's SVD; sigma_max
+    is inf where it overflows. Where the SVD overflows (to NaN if an entry's
+    modulus does), both are read from a scaled by a power of two that brings
+    every real and imaginary part below 1."""
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError("a must be a nonempty matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
     if sigma_max < 1e-14:
         raise ZeroMatrix("largest singular value below 1e-14")
+    if not sigma_max < math.inf:
+        e = math.frexp(np.max(np.abs([a.real, a.imag])))[1]
+        a = a * math.ldexp(1.0, -e)
+        sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+        # e <= 1024, and a float product overflows to inf without raising
+        return a / sigma, sigma * 2.0 ** (e - 1) * 2.0
     return a / sigma_max, sigma_max
 
 
@@ -105,8 +114,9 @@ def general_dilation(a: np.ndarray, m: int) -> Dilation:
         raise ValueError(f"n + m exceeds the size cap {SIZE_CAP}")
 
     left, sigma, right_dag = np.linalg.svd(a)
-    # 1 - s^2 >= -1e-12, tested without squaring s, which may overflow
-    if sigma[0] > math.sqrt(1.0 + 1e-12):
+    # 1 - s^2 >= -1e-12, tested without squaring s, which may overflow; the
+    # SVD reads NaN where an entry's modulus overflows, and fails the test
+    if not sigma[0] <= math.sqrt(1.0 + 1e-12):
         raise NormTooLarge(f"largest singular value {sigma[0]:.6g} exceeds 1")
     defect = (1.0 - sigma) * (1.0 + sigma)
     rank = int(np.sum(defect > 1e-12))
@@ -120,7 +130,7 @@ def general_dilation(a: np.ndarray, m: int) -> Dilation:
     u[:n, n : n + k] = -left[:, n - k :] * d
     u[n : n + k, :n] = d[:, None] * right_dag[n - k :]
     u[n : n + k, n : n + k] = np.diag(sigma[n - k :])
-    return Dilation(u=u, n=n, m=m)
+    return Dilation(u=u)
 
 
 def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:

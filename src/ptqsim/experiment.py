@@ -128,23 +128,13 @@ class BackendConfig:
 
 def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
     """Backend with the default shot budget and synthetic noise model."""
+    if kind is BackendKind.THEORY:
+        return BackendConfig(kind=kind, seed=seed)
+    diagonal = DEFAULT_ION_DIAGONAL if kind is BackendKind.ION else DEFAULT_TRANSMON_DIAGONAL
+    confusion = synthetic_confusion(diagonal, f"synthetic-{kind.value}-{diagonal:g}")
     if kind is BackendKind.ION:
-        return BackendConfig(
-            kind=kind,
-            confusion=synthetic_confusion(DEFAULT_ION_DIAGONAL, "synthetic-ion-0.97"),
-            epsilon=DEFAULT_ION_EPSILON,
-            seed=seed,
-        )
-    if kind is BackendKind.TRANSMON:
-        return BackendConfig(
-            kind=kind,
-            shots=8192,
-            confusion=synthetic_confusion(
-                DEFAULT_TRANSMON_DIAGONAL, "synthetic-transmon-0.876"
-            ),
-            seed=seed,
-        )
-    return BackendConfig(kind=BackendKind.THEORY, seed=seed)
+        return BackendConfig(kind=kind, confusion=confusion, epsilon=DEFAULT_ION_EPSILON, seed=seed)
+    return BackendConfig(kind=kind, shots=8192, confusion=confusion, seed=seed)
 
 
 def _ion_epsilon(backend: BackendConfig, ion_index: int) -> float:
@@ -160,7 +150,7 @@ def miscalibrate(c: Circuit, eps: float) -> Circuit:
         raise ValueError("|eps| must be below 0.5")
     out: list[Gate] = []
     for g in c:
-        if g.kind in (GateKind.RX, GateKind.RY):
+        if g.kind is GateKind.RX:
             out.append(Gate(g.kind, g.subspace, (g.angles[0] * (1.0 + eps),)))
         elif g.kind is GateKind.RION:
             out.append(Gate(g.kind, g.subspace, (g.angles[0], g.angles[1] * (1.0 + eps))))

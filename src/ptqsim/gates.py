@@ -22,14 +22,12 @@ _VALID_SUBSPACES = ((0, 1), (0, 2), (1, 2))
 
 class GateKind(Enum):
     RX = "RX"
-    RY = "RY"
     RZ = "RZ"
     RION = "RION"
-    PHASE2 = "PHASE2"
 
 
-# RZ and PHASE2 are zero-duration phase bookkeeping, everything else is a pulse
-PHYSICAL_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RION})
+# RZ is zero-duration phase bookkeeping, everything else is a pulse
+PHYSICAL_KINDS = frozenset({GateKind.RX, GateKind.RION})
 
 
 class UnsupportedGate(ValueError):
@@ -62,20 +60,12 @@ def rx(i: int, j: int, theta: float) -> Gate:
     return Gate(GateKind.RX, (i, j), (float(theta),))
 
 
-def ry(i: int, j: int, theta: float) -> Gate:
-    return Gate(GateKind.RY, (i, j), (float(theta),))
-
-
 def rz(i: int, j: int, phi: float) -> Gate:
     return Gate(GateKind.RZ, (i, j), (float(phi),))
 
 
 def rion(i: int, j: int, phi: float, theta: float) -> Gate:
     return Gate(GateKind.RION, (i, j), (float(phi), float(theta)))
-
-
-def phase2(i: int, j: int, lam: float) -> Gate:
-    return Gate(GateKind.PHASE2, (i, j), (float(lam),))
 
 
 @dataclass(frozen=True)
@@ -103,28 +93,16 @@ def gate_matrix(g: Gate) -> np.ndarray:
         m[i, j] = -1j * sh
         m[j, i] = -1j * sh
         m[j, j] = ch
-    elif g.kind is GateKind.RY:
-        (theta,) = g.angles
-        ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        m[i, i] = ch
-        m[i, j] = -sh
-        m[j, i] = sh
-        m[j, j] = ch
     elif g.kind is GateKind.RZ:
         (phi,) = g.angles
         m[j, j] = cmath.exp(1j * phi)
-    elif g.kind is GateKind.RION:
+    else:  # RION
         phi, theta = g.angles
         ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
         m[i, i] = ch
         m[i, j] = -1j * cmath.exp(-1j * phi) * sh
         m[j, i] = -1j * cmath.exp(1j * phi) * sh
         m[j, j] = ch
-    else:  # PHASE2
-        (lam,) = g.angles
-        z = cmath.exp(1j * lam)
-        m[i, i] = z
-        m[j, j] = z
     return m
 
 
@@ -309,19 +287,13 @@ def equivalent(
 
 @dataclass(frozen=True)
 class CircuitStats:
-    gate_count: int
     physical_count: int
     virtual_count: int
 
 
 def stats(c: Circuit) -> CircuitStats:
     physical = sum(1 for g in c if g.kind in PHYSICAL_KINDS)
-    total = len(c)
-    return CircuitStats(
-        gate_count=total,
-        physical_count=physical,
-        virtual_count=total - physical,
-    )
+    return CircuitStats(physical_count=physical, virtual_count=len(c) - physical)
 
 
 def format_circuit(c: Circuit) -> str:

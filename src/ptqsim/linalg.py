@@ -85,8 +85,8 @@ def dist_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - z * b)))
 
 
-def expm_taylor(m: np.ndarray, terms: int = 30) -> np.ndarray:
-    """Scaling-and-squaring Taylor-series matrix exponential.
+def expm_taylor(m: np.ndarray) -> np.ndarray:
+    """Scaling-and-squaring Taylor-series matrix exponential, to 30 terms.
 
     Deliberately series-based so it shares no code path with the closed
     forms it is used to cross-check.
@@ -100,7 +100,7 @@ def expm_taylor(m: np.ndarray, terms: int = 30) -> np.ndarray:
     x = m / (2.0**squarings)
     acc = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
-    for k in range(1, terms + 1):
+    for k in range(1, 31):
         term = term @ x / k
         acc = acc + term
     for _ in range(squarings):

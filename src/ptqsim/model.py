@@ -65,7 +65,6 @@ class Kernel:
     past r = 1, a power of two at r = 1 and 1 below it, so the scaled values
     are finite everywhere; the unscaled ones are inf where they overflow."""
 
-    h_sq: float
     g: float
     log_g: float
     gc: float
@@ -141,7 +140,7 @@ def kernel(p: PTParams) -> Kernel:
         g = 0.5 ** min(max(math.frexp(t)[1], 0), 1022)
         log_g, c, s = math.log(g), g, t * g
     rs = r * s
-    return Kernel((1.0 - r) * (1.0 + r), g, log_g, c, s, math.sqrt(g * g + rs * rs))
+    return Kernel(g, log_g, c, s, math.sqrt(g * g + rs * rs))
 
 
 def _evolution(r: float, k: Kernel, scaled: bool = False) -> np.ndarray:

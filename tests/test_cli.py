@@ -608,6 +608,20 @@ def test_transpile_error_exit_codes(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("line", ["RY 0 1 0.5", "PHASE2 1 2 0.3"])
+def test_transpile_rejects_kinds_outside_the_format(tmp_path, capsys, line):
+    # the format holds the RX, RZ and RION kinds only
+    src = tmp_path / "circ.txt"
+    src.write_text(line + "\nRX 0 1 0.5\n")
+    out = tmp_path / "out.txt"
+    out.write_text("earlier run\n")
+    for target in ("ion", "transmon"):
+        assert run_cli(["transpile", "--target", target, str(src), str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 1: ")
+        assert out.read_text() == "earlier run\n"
+    assert sorted(tmp_path.iterdir()) == [src, out]
+
+
 def test_transpile_rejects_undecodable_circuit(tmp_path, capsys):
     src = tmp_path / "circ.txt"
     src.write_bytes(b"\xff\xfe" + "RX 0 1 0.5\n".encode("utf-16-le"))

@@ -143,12 +143,30 @@ def test_rescale_to_contraction_examples():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             rescale_to_contraction(np.array([[1.0, bad], [0.0, 1.0]]))
+    # sigma_max overflows while a / sigma_max does not
+    scaled, lam = rescale_to_contraction(1.7e308 * np.ones((2, 2)))
+    assert lam == math.inf
+    assert np.array_equal(scaled, 0.5 * np.ones((2, 2)))
+    # an entry whose modulus overflows
+    scaled, lam = rescale_to_contraction(np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 1.0]]))
+    assert lam == math.inf
+    assert abs(scaled[0, 0] - complex(1.0, 1.0) / math.sqrt(2.0)) < 1e-15
+    assert scaled[0, 1] == scaled[1, 0] == 0.0
+    assert scaled[1, 1] == pytest.approx(1.0 / 1.7e308 / math.sqrt(2.0), rel=1e-12)
+    # a finite sigma_max is LAPACK's, and divides a directly
+    a = 1e300 * np.array([[1.0, 2.0j], [0.5, 3.0]])
+    scaled, lam = rescale_to_contraction(a)
+    assert lam == float(np.linalg.svd(a, compute_uv=False)[0])
+    assert np.array_equal(scaled, a / lam)
+    for empty in (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros(2)):
+        with pytest.raises(ValueError):
+            rescale_to_contraction(empty)
 
 
 def test_general_dilation_identity_block():
     dil = general_dilation(I2, 1)
     assert isinstance(dil, Dilation)
-    assert (dil.n, dil.m) == (2, 1)
+    assert dil.u.shape == (3, 3)
     assert np.array_equal(dil.u, I3)
 
 
@@ -190,13 +208,14 @@ def test_general_dilation_zero_ancilla_unitary():
     rng = np.random.default_rng(73)
     u = _haar_unitary(2, rng)
     dil = general_dilation(u, 0)
-    assert dil.m == 0
+    assert dil.u.shape == (2, 2)
     assert np.array_equal(dil.u, u)
 
 
 @pytest.mark.filterwarnings("error")
 def test_general_dilation_error_conditions():
-    for a in (1.5 * I2, 1e200 * I2, 1e200 * np.array([[1.0, 2.0j], [0.5, 3.0]])):
+    huge = np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 0.5]])  # |entry| overflows
+    for a in (1.5 * I2, 1e200 * I2, 1e200 * np.array([[1.0, 2.0j], [0.5, 3.0]]), huge):
         with pytest.raises(NormTooLarge):
             general_dilation(a, 2)
     with pytest.raises(RankTooLarge):
@@ -221,7 +240,7 @@ def test_general_dilation_tolerates_roundoff_norm():
     # eigenvalues of 1 - a^dag a in [-1e-12, 0] count as zero, not a violation
     a = (1.0 + 1e-13) * I2
     dil = general_dilation(a, 0)
-    assert dil.m == 0
+    assert dil.u.shape == (2, 2)
 
 
 def test_shift_equivalence_examples():

@@ -14,6 +14,7 @@ from ptqsim.gates import (
     TRANSMON,
     Circuit,
     CircuitParseError,
+    CircuitStats,
     Gate,
     GateKind,
     UnsupportedGate,
@@ -22,16 +23,14 @@ from ptqsim.gates import (
     format_circuit,
     gate_matrix,
     parse_circuit,
-    phase2,
     rion,
     rx,
-    ry,
     rz,
     stats,
     transpile_ion,
     transpile_transmon,
 )
-from ptqsim.linalg import I3, dist_up_to_global_phase, is_unitary, ket, populations
+from ptqsim.linalg import I3, is_unitary, ket, populations
 from ptqsim.model import PTParams
 
 HALF_PI = math.pi / 2.0
@@ -60,11 +59,10 @@ def test_gate_matrix_rion_reduces_to_rx_and_ry():
         assert np.max(
             np.abs(gate_matrix(rion(0, 1, 0.0, theta)) - gate_matrix(rx(0, 1, theta)))
         ) < 1e-15
-        assert np.max(
-            np.abs(
-                gate_matrix(rion(0, 1, HALF_PI, theta)) - gate_matrix(ry(0, 1, theta))
-            )
-        ) < 1e-15
+        # phase pi/2 is the real Y rotation exp(-i theta/2 sigma_y) on (0,1)
+        ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        y = np.array([[ch, -sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+        assert np.max(np.abs(gate_matrix(rion(0, 1, HALF_PI, theta)) - y)) < 1e-15
 
 
 def test_gate_matrix_rz_phases_upper_level_only():
@@ -81,24 +79,13 @@ def test_gate_matrix_rz_phases_upper_level_only():
     )
 
 
-def test_gate_matrix_phase2():
-    lam = -1.2
-    z = np.exp(1j * lam)
-    assert np.allclose(
-        gate_matrix(phase2(1, 2, lam)), np.diag([1.0, z, z]), atol=1e-15
-    )
-    assert np.allclose(
-        gate_matrix(phase2(0, 1, lam)), np.diag([z, z, 1.0]), atol=1e-15
-    )
-
-
 def test_gate_matrices_are_unitary():
     samples = [
         rx(0, 2, 1.7),
-        ry(1, 2, -0.4),
+        rx(1, 2, -0.4),
         rz(0, 1, 2.9),
         rion(0, 2, 0.6, -2.0),
-        phase2(0, 1, 0.3),
+        rion(1, 2, HALF_PI, 0.3),
     ]
     for g in samples:
         assert is_unitary(gate_matrix(g), 1e-12)
@@ -114,7 +101,7 @@ def test_circuit_unitary_empty_and_composition():
 
 def test_circuit_unitary_order_convention():
     # first-listed gate is applied first, so the matrix product reverses
-    gates = [rx(0, 1, 0.7), rz(1, 2, -1.1), ry(0, 2, 0.4)]
+    gates = [rx(0, 1, 0.7), rz(1, 2, -1.1), rion(0, 2, HALF_PI, 0.4)]
     manual = gate_matrix(gates[2]) @ gate_matrix(gates[1]) @ gate_matrix(gates[0])
     assert np.max(np.abs(circuit_unitary(Circuit(tuple(gates))) - manual)) < 1e-15
 
@@ -194,27 +181,12 @@ def test_transpile_transmon_rejects_foreign_gates():
         transpile_transmon(Circuit((rx(0, 2, 0.5),)))
 
 
-def test_phase2_rewriting_identities():
-    lam = 0.7
-    # two-level phase on (1,2) equals a pair of plain Z rotations exactly
-    assert equivalent(
-        Circuit((phase2(1, 2, lam),)),
-        Circuit((rz(1, 2, lam), rz(0, 1, lam))),
-        1e-12,
-        up_to_phase=False,
-    )
-    # on (0,1) the rewrite works only up to a global phase
-    d = dist_up_to_global_phase(
-        circuit_unitary(Circuit((phase2(0, 1, lam),))),
-        circuit_unitary(Circuit((rz(0, 1, 0.0), rz(1, 2, -lam)))),
-    )
-    assert d < 1e-12
-    assert equivalent(
-        Circuit((rz(0, 1, math.pi),)),
-        Circuit((phase2(1, 2, math.pi), rz(1, 2, -math.pi))),
-        1e-12,
-        up_to_phase=False,
-    )
+def test_equivalent_up_to_phase():
+    # RX(0,1)(2 pi) is -1 on levels 0 and 1, RZ(1,2)(pi) on level 2: -identity
+    minus_one = Circuit((rx(0, 1, 2.0 * math.pi), rz(1, 2, math.pi)))
+    assert equivalent(minus_one, Circuit(), 1e-12, up_to_phase=True)
+    assert not equivalent(minus_one, Circuit(), 1e-12, up_to_phase=False)
+    assert not equivalent(Circuit((rz(1, 2, math.pi),)), Circuit(), 1e-12, up_to_phase=True)
 
 
 def test_equivalent_reflexive_and_validation():
@@ -252,13 +224,14 @@ def test_rz_full_turns_leave_populations_unchanged():
 def test_stats_counts():
     c = qutrit_circuit(PTParams(0.5, 1.0))
     st_c = stats(c)
-    assert (st_c.gate_count, st_c.physical_count, st_c.virtual_count) == (3, 3, 0)
+    assert (len(c), st_c.physical_count, st_c.virtual_count) == (3, 3, 0)
     st_ion = stats(transpile_ion(c))
     assert (st_ion.physical_count, st_ion.virtual_count) == (5, 0)
-    st_tm = stats(transpile_transmon(c))
-    assert st_tm.gate_count == st_tm.physical_count + st_tm.virtual_count
+    tm = transpile_transmon(c)
+    st_tm = stats(tm)
+    assert len(tm) == st_tm.physical_count + st_tm.virtual_count
     assert st_tm.physical_count == 6
-    assert stats(Circuit()).gate_count == 0
+    assert stats(Circuit()) == CircuitStats(0, 0)
 
 
 def test_gateset_membership():

@@ -143,7 +143,6 @@ def test_kernel_hermitian_limit():
     assert k.c == pytest.approx(math.cos(1.3), abs=1e-15)
     assert k.s == pytest.approx(math.sin(1.3), abs=1e-15)
     assert k.a == 1.0
-    assert k.h_sq == 1.0
 
 
 def test_kernel_exceptional_point():
@@ -170,7 +169,8 @@ def test_kernel_broken_phase():
 @settings(deadline=None)
 def test_kernel_identity_moderate_domain(p):
     k = kernel(p)
-    assert abs(k.c * k.c + k.h_sq * k.s * k.s - 1.0) < 1e-10
+    h_sq = (1.0 - p.r) * (1.0 + p.r)
+    assert abs(k.c * k.c + h_sq * k.s * k.s - 1.0) < 1e-10
 
 
 @given(pt_params())
@@ -179,8 +179,9 @@ def test_kernel_identity_full_domain_relative(p):
     # c and h^2 s^2 reach ~1e14 at (r=2, t=10); the identity can only hold
     # relative to the size of the cancelling terms there
     k = kernel(p)
-    scale = max(1.0, k.c * k.c, abs(k.h_sq) * k.s * k.s)
-    assert abs(k.c * k.c + k.h_sq * k.s * k.s - 1.0) < 1e-9 * scale
+    h_sq = (1.0 - p.r) * (1.0 + p.r)
+    scale = max(1.0, k.c * k.c, abs(h_sq) * k.s * k.s)
+    assert abs(k.c * k.c + h_sq * k.s * k.s - 1.0) < 1e-9 * scale
 
 
 def test_evolution_examples():
