@@ -240,7 +240,8 @@ def render_heatmap(
     observable: Observable,
     points: SweepResult,
 ) -> HeatmapImage:
-    exact_like = backend.kind is BackendKind.THEORY or backend.exact
+    # an exact-mode run already holds the exact values in p0_raw and p0_postselected
+    exact_like = backend.kind is BackendKind.THEORY
     if observable is Observable.RETURN_PROB:
         values = points.p_exact[:, 0] if exact_like else points.p0_raw
     elif exact_like:

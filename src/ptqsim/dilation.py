@@ -55,7 +55,7 @@ def qutrit_circuit(p: PTParams) -> Circuit:
     k = kernel(p)
     ang = _angles(p.r, k)
     flip = 0.0 if p.r * k.gs >= 0.0 else math.pi
-    return Circuit((rx(0, 1, ang.phi - flip), rx(1, 2, ang.theta), rx(0, 1, ang.phi + flip)))
+    return (rx(0, 1, ang.phi - flip), rx(1, 2, ang.theta), rx(0, 1, ang.phi + flip))
 
 
 def qutrit_unitary(p: PTParams) -> np.ndarray:

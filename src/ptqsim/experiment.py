@@ -144,19 +144,15 @@ def _ion_epsilon(backend: BackendConfig, ion_index: int) -> float:
 
 
 def miscalibrate(c: Circuit, eps: float) -> Circuit:
-    """Scale every physical rotation angle by (1 + eps); virtual phases and
-    pulse-phase arguments are untouched."""
+    """Scale every pulse's rotation angle, its last, by (1 + eps); virtual
+    phases and pulse-phase arguments are untouched."""
     if abs(eps) >= 0.5:
         raise ValueError("|eps| must be below 0.5")
-    out: list[Gate] = []
-    for g in c:
-        if g.kind is GateKind.RX:
-            out.append(Gate(g.kind, g.subspace, (g.angles[0] * (1.0 + eps),)))
-        elif g.kind is GateKind.RION:
-            out.append(Gate(g.kind, g.subspace, (g.angles[0], g.angles[1] * (1.0 + eps))))
-        else:
-            out.append(g)
-    return Circuit(tuple(out))
+    return tuple(
+        g if g.kind is GateKind.RZ
+        else Gate(g.kind, g.subspace, g.angles[:-1] + (g.angles[-1] * (1.0 + eps),))
+        for g in c
+    )
 
 
 def _probabilities(
@@ -229,6 +225,12 @@ def _words(n: int) -> list[int]:
     while n := n >> 32:
         words.append(n & _MASK32)
     return words
+
+
+def _id_words(ids: np.ndarray) -> list:
+    """Stream ids as entropy words; numpy leaves out a zero high word, which
+    hashes as a missing one."""
+    return [(ids & _MASK32).astype(np.uint32), (ids >> 32).astype(np.uint32)]
 
 
 def _key_words(key) -> list:
@@ -417,9 +419,7 @@ def _emulate(
             counts[rows] = [_round_counts(probs, backend.shots) for probs in p_exact[rows]]
         else:
             ids = derive_seed(backend.seed, 0, i_r[rows], i_t[rows])
-            # numpy leaves out a zero high word, which hashes as a missing one
-            words = [(ids & _MASK32).astype(np.uint32), (ids >> 32).astype(np.uint32)]
-            counts[rows] = draw(p_exact[rows], backend.shots, words)
+            counts[rows] = draw(p_exact[rows], backend.shots, _id_words(ids))
     # element-wise float divisions give the same IEEE results as the scalar
     # int / int and float / float divisions of a point at a time
     shares = p_exact if backend.exact else counts
@@ -484,10 +484,14 @@ class SweepGrid:
             raise ValueError("max must not be below min")
 
     def r_values(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.r_steps)
+        # near the float maximum linspace's last step overflows, and it then
+        # sets that value to the bound
+        with np.errstate(over="ignore"):
+            return np.linspace(self.r_min, self.r_max, self.r_steps)
 
     def t_values(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.t_steps)
+        with np.errstate(over="ignore"):
+            return np.linspace(self.t_min, self.t_max, self.t_steps)
 
 
 def sweep(grid: SweepGrid, backend: BackendConfig) -> SweepResult:
@@ -511,9 +515,7 @@ def estimate_confusion(
     matrix, and column-normalize the empirical counts."""
     _check_shots("preparations_per_state", preparations_per_state)
     true = backend.confusion
-    columns = []
-    for prepared in range(3):
-        seed = derive_seed(backend.seed, 1, prepared)
-        counts = sample_counts(true.entries[:, prepared], preparations_per_state, seed)
-        columns.append(counts / preparations_per_state)
-    return ConfusionMatrix(np.column_stack(columns), label=f"estimated({true.label})")
+    # row j reads out basis state j, from the stream keyed by (seed, 1, j)
+    ids = derive_seed(backend.seed, 1, np.arange(3))
+    counts = _sampler()(true.entries.T, preparations_per_state, _id_words(ids))
+    return ConfusionMatrix(counts.T / preparations_per_state, label=f"estimated({true.label})")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -24,10 +25,6 @@ class GateKind(Enum):
     RX = "RX"
     RZ = "RZ"
     RION = "RION"
-
-
-# RZ is zero-duration phase bookkeeping, everything else is a pulse
-PHYSICAL_KINDS = frozenset({GateKind.RX, GateKind.RION})
 
 
 class UnsupportedGate(ValueError):
@@ -68,18 +65,7 @@ def rion(i: int, j: int, phi: float, theta: float) -> Gate:
     return Gate(GateKind.RION, (i, j), (float(phi), float(theta)))
 
 
-@dataclass(frozen=True)
-class Circuit:
-    gates: tuple[Gate, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-
-    def __iter__(self):
-        return iter(self.gates)
-
-    def __len__(self) -> int:
-        return len(self.gates)
+Circuit = tuple[Gate, ...]
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
@@ -158,7 +144,7 @@ def transpile_ion(c: Circuit) -> Circuit:
             out.append(rion(0, 1, _HALF_PI, -math.pi))
             out.append(rion(0, 2, 0.0, theta))
             out.append(rion(0, 1, _HALF_PI, math.pi))
-    return Circuit(tuple(out))
+    return tuple(out)
 
 
 def _expand01(theta: float, sign: int) -> list[Gate]:
@@ -219,58 +205,44 @@ def _wrap_pi(x: float) -> float:
     return y
 
 
-def _balance_signs(halves: list[float]) -> list[int]:
-    """Sign per (0,1) rotation minimizing |wrap(sum of signed half-angles)|."""
+def _balance_signs(halves: list[float]) -> tuple[list[int], float]:
+    """Sign per (0,1) rotation minimizing |wrap(sum of signed half-angles)|,
+    and that wrapped sum, added in circuit order."""
+    # libm reduces a large angle exactly, where a sum of them loses the phase
+    halves = [math.atan2(math.sin(h), math.cos(h)) if abs(h) > math.pi else h for h in halves]
     n = len(halves)
-    if n == 0:
-        return []
     if n <= 14:
-        best: list[int] | None = None
-        best_val = math.inf
-        for mask in range(1 << n):
-            signs = [1 if mask & (1 << k) == 0 else -1 for k in range(n)]
-            val = abs(_wrap_pi(sum(s * h for s, h in zip(signs, halves))))
-            if val < best_val:
-                best_val = val
-                best = signs
-        assert best is not None
-        return best
-    # large circuits: greedily oppose the running sum, biggest angles first
-    order = sorted(range(n), key=lambda k: -abs(halves[k]))
-    signs = [1] * n
-    total = 0.0
-    for k in order:
-        signs[k] = -1 if total * halves[k] > 0 else 1
-        total += signs[k] * halves[k]
-    return signs
+        candidates = ([-1 if mask >> k & 1 else 1 for k in range(n)] for mask in range(1 << n))
+        signs = min(candidates, key=lambda s: abs(_wrap_pi(sum(map(operator.mul, s, halves)))))
+    else:
+        # large circuits: greedily oppose the running sum, biggest angles first
+        order = sorted(range(n), key=lambda k: -abs(halves[k]))
+        signs = [1] * n
+        total = 0.0
+        for k in order:
+            signs[k] = -1 if total * halves[k] > 0 else 1
+            total += signs[k] * halves[k]
+    return signs, _wrap_pi(sum(map(operator.mul, signs, halves)))
 
 
 def transpile_transmon(c: Circuit) -> Circuit:
-    """Rewrite onto quarter X pulses plus virtual Z rotations, exactly.
+    """Rewrite onto quarter X pulses plus virtual Z rotations, exactly for
+    every finite angle.
 
     Each (0,1) rotation leaves a scalar exp(+-i.theta/2) because no set of
     pure Z rotations can phase level 0; the pass picks the branch signs so
     the scalars cancel, and appends an explicit four-pulse phase block for
     whatever residual remains."""
     _require_abstract_rx(c)
-    halves = [g.angles[0] / 2.0 for g in c if g.subspace == (0, 1)]
-    signs = _balance_signs(halves)
+    signs, residual = _balance_signs([g.angles[0] / 2.0 for g in c if g.subspace == (0, 1)])
+    sign = iter(signs)
     out: list[Gate] = []
-    total = 0.0
-    k = 0
     for g in c:
         (theta,) = g.angles
-        if g.subspace == (0, 1):
-            sign = signs[k]
-            k += 1
-            out.extend(_expand01(theta, sign))
-            total += sign * theta / 2.0
-        else:
-            out.extend(_expand12(theta))
-    residual = _wrap_pi(total)
+        out.extend(_expand01(theta, next(sign)) if g.subspace == (0, 1) else _expand12(theta))
     if abs(residual) > 1e-12:
         out.extend(_phase_block(-residual))
-    return Circuit(tuple(out))
+    return tuple(out)
 
 
 def equivalent(
@@ -292,7 +264,8 @@ class CircuitStats:
 
 
 def stats(c: Circuit) -> CircuitStats:
-    physical = sum(1 for g in c if g.kind in PHYSICAL_KINDS)
+    """RZ is zero-duration phase bookkeeping, every other gate a pulse."""
+    physical = sum(1 for g in c if g.kind is not GateKind.RZ)
     return CircuitStats(physical_count=physical, virtual_count=len(c) - physical)
 
 
@@ -320,4 +293,4 @@ def parse_circuit(text: str) -> Circuit:
             gates.append(Gate(kind, (i, j), angles))
         except (ValueError, IndexError) as exc:
             raise CircuitParseError(f"line {ln}: {raw.strip()!r}: {exc}") from None
-    return Circuit(tuple(gates))
+    return tuple(gates)

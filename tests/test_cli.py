@@ -24,7 +24,7 @@ from ptqsim.experiment import (
     load_confusion,
     sweep,
 )
-from ptqsim.gates import GateKind, format_circuit, parse_circuit, rx
+from ptqsim.gates import GateKind, equivalent, format_circuit, parse_circuit, rx
 from ptqsim.model import PTParams, qutrit_populations, return_probability
 
 HALF_PI = math.pi / 2.0
@@ -487,6 +487,19 @@ def test_run_deep_broken_phase(tmp_path):
             assert float(row["p0"]) == pytest.approx(mp_observables(1.5, 1000.0)[0], abs=1e-12)
 
 
+def test_run_grid_up_to_the_float_maximum(tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        f"r_max = 1.7976931348623157e308\nr_steps = 7\nt_steps = 3\noutput_csv = {csv_path}\n",
+    )
+    for backend in ("theory", "ion", "transmon"):
+        assert run_cli(["run", "--config", str(cfg), "--backend", backend]) == 0, backend
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        assert len(rows) == 21 and rows[-1]["r"] == "1.79769313486e+308"
+
+
 def test_run_flag_overrides(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     cfg = write_config(
@@ -606,6 +619,27 @@ def test_transpile_error_exit_codes(tmp_path):
     assert run_cli(
         ["transpile", "--target", "ion", str(ok), str(tmp_path / "no/dir/x.txt")]
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "RX 0 1 1.7976931348623157e308\n" * 3,
+        "RX 0 1 1e10\n",
+        "RX 0 1 1e17\n",
+        "RX 0 1 1e300\nRX 1 2 -1.7976931348623157e308\nRX 0 1 -1e17\nRX 0 1 0.5\n",
+    ],
+    ids=["three-max-floats", "1e10", "1e17", "mixed"],
+)
+def test_transpile_transmon_large_angles(tmp_path, capsys, text):
+    # a sum of the raw half-angles overflows or loses the phase
+    src = tmp_path / "circ.txt"
+    src.write_text(text)
+    out = tmp_path / "out.txt"
+    assert run_cli(["transpile", "--target", "transmon", str(src), str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert equivalent(parse_circuit(out.read_text()), parse_circuit(text), 1e-10)
+    assert sorted(tmp_path.iterdir()) == [src, out]
 
 
 @pytest.mark.parametrize("line", ["RY 0 1 0.5", "PHASE2 1 2 0.3"])

@@ -53,12 +53,12 @@ def test_qutrit_circuit_zero_time():
 
 def test_qutrit_circuit_exceptional_point_angles():
     c = qutrit_circuit(PTParams(1.0, 1.0))
-    phi = c.gates[0].angles[0]
-    theta = c.gates[1].angles[0]
+    phi = c[0].angles[0]
+    theta = c[1].angles[0]
     assert phi == pytest.approx(math.pi / 4.0, abs=1e-15)
     # frozen: -2 arccos((sqrt(2)-1)/(sqrt(2)+1)) from the svd2 oracle route
     assert theta == pytest.approx(-2.796740658164095, abs=1e-12)
-    assert c.gates[2].angles[0] == phi
+    assert c[2].angles[0] == phi
 
 
 def test_qutrit_unitary_identity_and_double_rotation():

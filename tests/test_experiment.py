@@ -2,6 +2,7 @@
 sampling, per-point experiments, grid sweeps, and calibration estimation."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from ptqsim.experiment import (
     synthetic_confusion,
 )
 from ptqsim.dilation import qutrit_circuit
-from ptqsim.gates import Circuit, circuit_unitary, rion, rx, rz, transpile_transmon
+from ptqsim.gates import Circuit, circuit_unitary, rion, rx, rz, transpile_ion, transpile_transmon
 from ptqsim.linalg import populations
 from ptqsim.model import PTParams, qutrit_populations, return_probability
 
@@ -168,10 +169,10 @@ def test_miscalibrate_examples():
     c = Circuit((rx(0, 1, math.pi), rz(1, 2, 0.7), rion(0, 2, 0.3, 1.0)))
     assert miscalibrate(c, 0.0) == c
     out = miscalibrate(c, 0.01)
-    assert out.gates[0].angles[0] == pytest.approx(1.01 * math.pi, abs=1e-15)
-    assert out.gates[1] == c.gates[1]  # virtual phases untouched
-    assert out.gates[2].angles[0] == 0.3  # pulse phase untouched
-    assert out.gates[2].angles[1] == pytest.approx(1.01, abs=1e-15)
+    assert out[0].angles[0] == pytest.approx(1.01 * math.pi, abs=1e-15)
+    assert out[1] == c[1]  # virtual phases untouched
+    assert out[2].angles[0] == 0.3  # pulse phase untouched
+    assert out[2].angles[1] == pytest.approx(1.01, abs=1e-15)
     with pytest.raises(ValueError):
         miscalibrate(c, 0.5)
 
@@ -500,6 +501,17 @@ def test_sweep_grid_validation():
     assert len(grid.t_values()) == 5
 
 
+def test_sweep_grid_values_near_the_float_maximum():
+    # linspace's last step overflows there, before linspace sets it to the bound
+    top = sys.float_info.max
+    grid = SweepGrid(r_max=top, r_steps=7, t_min=top / 4, t_max=top, t_steps=7)
+    with np.errstate(over="ignore"):
+        want_r, want_t = np.linspace(0.0, top, 7), np.linspace(top / 4, top, 7)
+    assert grid.r_values().tobytes() == want_r.tobytes()
+    assert grid.t_values().tobytes() == want_t.tobytes()
+    assert grid.r_values()[-1] == grid.t_values()[-1] == top
+
+
 def test_sweep_is_r_major_and_matches_closed_form():
     grid = SweepGrid(r_min=0, r_max=1.2, r_steps=3, t_min=0, t_max=2, t_steps=4)
     points = sweep(grid, theory_backend(exact=True))
@@ -581,6 +593,32 @@ def test_transmon_rows_equal_confusion_times_populations(points, confusion):
     got = experiment._probabilities(backend, r, t, None)
     want = [confusion.entries @ qutrit_populations(PTParams(*p)) for p in points]
     assert got.tobytes() == np.array(want).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        st.builds(lambda k, side: 1.0 + side * 10.0**-k, st.integers(1, 17), st.sampled_from([-1, 1])),
+        finite_floats(1.5, 1e6),
+    ),
+    finite_floats(0.0, 1e4),
+    st.integers(1, 6),
+    st.lists(st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True), max_size=6).map(tuple),
+    st.integers(1, 7),
+    st.sampled_from([synthetic_confusion(0.97), LEAKY, SINK]),
+)
+def test_ion_rows_equal_confusion_times_native_populations(r, t_max, t_steps, epsilon, ions, confusion):
+    # near the exceptional point r = 1 and deep in the broken phase r > 1
+    grid = SweepGrid(r_min=r, r_max=r, r_steps=1, t_max=t_max, t_steps=t_steps)
+    backend = BackendConfig(
+        kind=BackendKind.ION, shots=4, confusion=confusion, ion_count=ions, epsilon=epsilon
+    )
+    want = []
+    for i_t, t in enumerate(grid.t_values().tolist()):
+        eps = epsilon[i_t % ions % len(epsilon)] if epsilon else 0.0
+        native = miscalibrate(transpile_ion(qutrit_circuit(PTParams(r, t))), eps)
+        want.append(confusion.entries @ populations(circuit_unitary(native)[:, 0]))
+    assert sweep(grid, backend).p_exact.tobytes() == np.array(want).tobytes()
 
 
 def reference_points(grid, backend):

@@ -174,6 +174,49 @@ def test_transpile_transmon_negative_weight_branch():
     assert np.max(np.abs(circuit_unitary(out) - circuit_unitary(c))) < 1e-12
 
 
+def brute_force_signs(halves):
+    """The first sign vector in mask order, bit k flipping sign k, that
+    minimizes the signed half-angle sum modulo 2 pi, and that minimum."""
+
+    def residual(mask):
+        total = sum(-h if mask >> k & 1 else h for k, h in enumerate(halves))
+        return abs(math.remainder(total, 2.0 * math.pi))
+
+    best = min(range(1 << len(halves)), key=residual)
+    return [-1 if best >> k & 1 else 1 for k in range(len(halves))], residual(best)
+
+
+@st.composite
+def transmon_sources(draw):
+    """Up to 12 (0,1) rotations whose angles repeat or negate a few base
+    angles, among them 0 and +-pi, plus up to three (1,2) rotations."""
+    angle = st.one_of(
+        st.sampled_from([0.0, math.pi, 2.0 * math.pi, 0.5]),
+        st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    )
+    base = draw(st.lists(angle, min_size=1, max_size=4))
+    n01 = draw(st.integers(0, 12))
+    gates = [rx(0, 1, draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from(base))) for _ in range(n01)]
+    gates += [rx(1, 2, draw(angle)) for _ in range(draw(st.integers(0, 3)))]
+    return tuple(draw(st.permutations(gates)))
+
+
+@given(transmon_sources())
+@settings(deadline=None, max_examples=60)
+def test_transpile_transmon_signs_match_brute_force(src):
+    out = transpile_transmon(src)
+    # each (0,1) expansion's second gate is RZ(0,1)(sign * pi / 2)
+    signs, pos = [], 0
+    for g in src:
+        if g.subspace == (0, 1):
+            signs.append(out[pos + 1].angles[0] / HALF_PI)
+        pos += 8 if g.subspace == (0, 1) else 9
+    want, residual = brute_force_signs([g.angles[0] / 2.0 for g in src if g.subspace == (0, 1)])
+    assert signs == want
+    assert stats(out).physical_count == 2 * len(src) + (4 if residual > 1e-12 else 0)
+    assert equivalent(out, src, 1e-10)
+
+
 def test_transpile_transmon_rejects_foreign_gates():
     with pytest.raises(UnsupportedGate):
         transpile_transmon(Circuit((rion(0, 1, 0.0, 0.5),)))
@@ -212,7 +255,7 @@ def test_rz_full_turns_leave_populations_unchanged():
     for k in (1, 2, 5):
         for i, j in ((0, 1), (1, 2)):
             padded = Circuit(
-                base.gates[:2] + (rz(i, j, 2.0 * math.pi * k),) + base.gates[2:]
+                base[:2] + (rz(i, j, 2.0 * math.pi * k),) + base[2:]
             )
             u = circuit_unitary(padded)
             for b in range(3):

@@ -433,7 +433,7 @@ def test_observables_finite_over_whole_domain(r, t):
     assert abs(float(pops.sum()) - 1.0) <= UNIT_MASS_TOL
     ang = angles(p)
     assert math.isfinite(ang.phi) and math.isfinite(ang.theta)
-    assert len(dilation.qutrit_circuit(p).gates) == 3
+    assert len(dilation.qutrit_circuit(p)) == 3
 
 
 @pytest.mark.parametrize(("r", "t"), PINNED_POINTS)
