@@ -10,7 +10,6 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -160,15 +159,8 @@ def build_backend(cfg: RunConfig) -> BackendConfig:
     """The default backend of the configured kind with the configured values
     applied; reads the confusion file, as UTF-8, when configured (OSError
     propagates to the caller as an I/O failure)."""
-    overrides = {
-        key: value
-        for key, value in (
-            ("shots", cfg.shots),
-            ("ion_count", cfg.ions),
-            ("epsilon", cfg.epsilon),
-        )
-        if value is not None
-    }
+    given = {"shots": cfg.shots, "ion_count": cfg.ions, "epsilon": cfg.epsilon}
+    overrides = {key: value for key, value in given.items() if value is not None}
     try:
         backend = replace(default_backend(cfg.backend, cfg.seed), **overrides)
         if cfg.confusion_file is not None:
@@ -186,38 +178,28 @@ def build_backend(cfg: RunConfig) -> BackendConfig:
 CSV_BLOCK_ROWS = 2048
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _fmt_coordinates(values: np.ndarray) -> Iterator[str]:
-    """_fmt of each value, run once per distinct bit pattern, so -0.0 stays "-0"."""
-    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
-    return map([_fmt(x) for x in bits.view(np.float64).tolist()].__getitem__, index.tolist())
-
-
 def render_csv(points: SweepResult, backend: BackendConfig, start: int, stop: int) -> str:
     """CSV lines of points start..stop, led by the header when start is 0."""
     rows = slice(start, stop)
-    p = points.p_exact[rows]
     header = "r,t,backend,p0,p1,p2,p0_raw,p0_postselected,kept,shots,seed"
+    # one row template: %.12g per float, the run's constants as literals
+    template = (
+        f"%.12g,%.12g,{backend.kind.value},%.12g,%.12g,%.12g,%.12g,%s,%d,"
+        f"{backend.shots},{backend.seed}"
+    )
     columns = [
-        _fmt_coordinates(points.r[rows]),
-        _fmt_coordinates(points.t[rows]),
-        repeat(backend.kind.value),
-        map(_fmt, p[:, 0].tolist()),
-        map(_fmt, p[:, 1].tolist()),
-        map(_fmt, p[:, 2].tolist()),
-        map(_fmt, points.p0_raw[rows].tolist()),
-        ("" if math.isnan(x) else _fmt(x) for x in points.p0_postselected[rows].tolist()),
-        map(str, points.postselect_kept[rows].tolist()),
-        repeat(str(backend.shots)),
-        repeat(str(backend.seed)),
+        points.r[rows].tolist(),
+        points.t[rows].tolist(),
+        *points.p_exact[rows].T.tolist(),
+        points.p0_raw[rows].tolist(),
+        ["" if math.isnan(x) else "%.12g" % x for x in points.p0_postselected[rows].tolist()],
+        points.postselect_kept[rows].tolist(),
     ]
     if points.ion is not None:
         header += ",ion"
-        columns.append(map(str, points.ion[rows].tolist()))
-    lines = [",".join(fields) for fields in zip(*columns)]
+        template += ",%d"
+        columns.append(points.ion[rows].tolist())
+    lines = [template % row for row in zip(*columns)]
     if start == 0:
         lines.insert(0, header)
     return "\n".join(lines) + "\n"
@@ -386,9 +368,8 @@ def transpile_command(args: argparse.Namespace) -> int:
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    phases = np.diagonal(r)
+    return q * (phases / np.abs(phases))
 
 
 def _random_contraction(n: int, m: int, rng: np.random.Generator) -> np.ndarray:

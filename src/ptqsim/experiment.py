@@ -89,14 +89,25 @@ def load_confusion(text: str, label: str = "file") -> ConfusionMatrix:
     return ConfusionMatrix(np.array(values).reshape(3, 3), label=label)
 
 
-def _check_shots(name: str, shots: int) -> None:
+def _integer(name: str, value) -> int:
+    """An int or numpy integer as an int; a float is refused, not truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_shots(name: str, shots: int) -> int:
+    shots = _integer(name, shots)
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"{name} must be in 1..2**63 - 1")
+    return shots
 
 
-def _check_seed(name: str, seed: int) -> None:
+def _check_seed(name: str, seed: int) -> int:
+    seed = _integer(name, seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must fit in 64 unsigned bits")
+    return seed
 
 
 class BackendKind(Enum):
@@ -116,12 +127,14 @@ class BackendConfig:
     exact: bool = False  # report exact probabilities instead of sampled ratios
 
     def __post_init__(self) -> None:
-        _check_shots("shots", self.shots)
+        # numpy integers are stored as ints, which exact-mode arithmetic needs
+        object.__setattr__(self, "shots", _check_shots("shots", self.shots))
+        object.__setattr__(self, "ion_count", _integer("ion_count", self.ion_count))
         if self.ion_count < 1:
             raise ValueError("ion_count must be at least 1")
         if not all(abs(e) < 0.5 for e in self.epsilon):
             raise ValueError("per-ion over-rotation must satisfy |epsilon| < 0.5")
-        _check_seed("seed", self.seed)
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if self.confusion is None:
             object.__setattr__(self, "confusion", identity_confusion())
 
@@ -175,6 +188,7 @@ def _probabilities(
 
 def _ion_column(backend: BackendConfig, ion_index: int) -> np.ndarray:
     """[ion_index], which on the ion backend must name one of its ions."""
+    ion_index = _integer("ion_index", ion_index)
     if backend.kind is BackendKind.ION and not 0 <= ion_index < backend.ion_count:
         raise ValueError(f"ion_index {ion_index} outside 0..{backend.ion_count - 1}")
     return np.array([ion_index])
@@ -283,42 +297,38 @@ def derive_seed(base: int, *key):
     return _generate(words, 1)[0]
 
 
-def _sampler():
+def _draw(probs: np.ndarray, shots: int, words: list) -> np.ndarray:
     """A multinomial draw per probability row from one Philox. Before row i
     it is reset to the state `Philox(SeedSequence(id_i))` starts in: key
     `generate_state(2, np.uint64)` of id_i's entropy words, counter 0 and
     an empty buffer. So each row draws its id's stream."""
+    shots = _check_shots("shots", shots)
+    keys = np.array(_generate(words, 2), dtype=np.uint64).T.reshape(-1, 2)
+    # written so that NaN fails both checks; a row of opposite infinities
+    # sums to NaN
+    with np.errstate(invalid="ignore"):
+        low, total = probs.min(axis=1), probs.sum(axis=1)
+    bad = ~(low >= -1e-9) | ~(np.abs(total - 1.0) <= 1e-9)
+    if bad.any():
+        i = int(bad.argmax())
+        if not low[i] >= -1e-9:
+            raise BadDistribution(f"probability {float(low[i]):.3e} is negative or NaN")
+        raise BadDistribution(f"probabilities sum to {float(total[i])!r}")
+    clean = np.clip(probs, 0.0, None)
+    clean /= clean.sum(axis=1, keepdims=True)
     rng = np.random.Generator(np.random.Philox(0))
     fresh = rng.bit_generator.state  # counter 0, buffer_pos 4, has_uint32 0, uinteger 0
-
-    def draw(probs: np.ndarray, shots: int, words: list) -> np.ndarray:
-        _check_shots("shots", shots)
-        keys = np.array(_generate(words, 2), dtype=np.uint64).T.reshape(-1, 2)
-        # written so that NaN fails both checks; a row of opposite infinities
-        # sums to NaN
-        with np.errstate(invalid="ignore"):
-            low, total = probs.min(axis=1), probs.sum(axis=1)
-        bad = ~(low >= -1e-9) | ~(np.abs(total - 1.0) <= 1e-9)
-        if bad.any():
-            i = int(bad.argmax())
-            if not low[i] >= -1e-9:
-                raise BadDistribution(f"probability {float(low[i]):.3e} is negative or NaN")
-            raise BadDistribution(f"probabilities sum to {float(total[i])!r}")
-        clean = np.clip(probs, 0.0, None)
-        clean /= clean.sum(axis=1, keepdims=True)
-        counts = np.empty(probs.shape, dtype=np.int64)
-        for i, key in enumerate(keys):
-            fresh["state"]["key"] = key
-            rng.bit_generator.state = fresh
-            counts[i] = rng.multinomial(int(shots), clean[i])
-        return counts
-
-    return draw
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for i, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        rng.bit_generator.state = fresh
+        counts[i] = rng.multinomial(shots, clean[i])
+    return counts
 
 
 def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Multinomial draw from the stream of `Philox(SeedSequence(seed))`."""
-    return _sampler()(np.asarray(probs, dtype=float)[None], shots, _words(int(seed)))[0]
+    return _draw(np.asarray(probs, dtype=float)[None], shots, _words(_integer("seed", seed)))[0]
 
 
 def postselect_ratios(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -411,7 +421,6 @@ def _emulate(
     n = len(r)
     p_exact = np.empty((n, 3))
     counts = np.empty((n, 3), dtype=np.int64)
-    draw = _sampler()
     for start in range(0, n, SEED_BLOCK):
         rows = slice(start, start + SEED_BLOCK)
         p_exact[rows] = _probabilities(backend, r[rows], t[rows], None if ion is None else ion[rows])
@@ -419,7 +428,7 @@ def _emulate(
             counts[rows] = [_round_counts(probs, backend.shots) for probs in p_exact[rows]]
         else:
             ids = derive_seed(backend.seed, 0, i_r[rows], i_t[rows])
-            counts[rows] = draw(p_exact[rows], backend.shots, _id_words(ids))
+            counts[rows] = _draw(p_exact[rows], backend.shots, _id_words(ids))
     # element-wise float divisions give the same IEEE results as the scalar
     # int / int and float / float divisions of a point at a time
     shares = p_exact if backend.exact else counts
@@ -471,6 +480,8 @@ class SweepGrid:
                 raise ValueError(f"{name} must be finite")
             # -0.0 passes every check below, and would print as "-0"
             object.__setattr__(self, name, getattr(self, name) + 0.0)
+        for name in ("r_steps", "t_steps"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.r_steps < 1 or self.t_steps < 1:
             raise ValueError("steps must be at least 1")
         if self.r_steps * self.t_steps > MAX_GRID_POINTS:
@@ -517,5 +528,5 @@ def estimate_confusion(
     true = backend.confusion
     # row j reads out basis state j, from the stream keyed by (seed, 1, j)
     ids = derive_seed(backend.seed, 1, np.arange(3))
-    counts = _sampler()(true.entries.T, preparations_per_state, _id_words(ids))
+    counts = _draw(true.entries.T, preparations_per_state, _id_words(ids))
     return ConfusionMatrix(counts.T / preparations_per_state, label=f"estimated({true.label})")

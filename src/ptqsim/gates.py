@@ -72,23 +72,15 @@ def gate_matrix(g: Gate) -> np.ndarray:
     """Exact 3x3 matrix; the level outside the subspace is untouched."""
     m = np.eye(3, dtype=complex)
     i, j = g.subspace
-    if g.kind is GateKind.RX:
-        (theta,) = g.angles
-        ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        m[i, i] = ch
-        m[i, j] = -1j * sh
-        m[j, i] = -1j * sh
-        m[j, j] = ch
-    elif g.kind is GateKind.RZ:
-        (phi,) = g.angles
-        m[j, j] = cmath.exp(1j * phi)
-    else:  # RION
-        phi, theta = g.angles
-        ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        m[i, i] = ch
-        m[i, j] = -1j * cmath.exp(-1j * phi) * sh
-        m[j, i] = -1j * cmath.exp(1j * phi) * sh
-        m[j, j] = ch
+    if g.kind is GateKind.RZ:
+        m[j, j] = cmath.exp(1j * g.angles[0])
+        return m
+    # RX is RION at phase 0
+    phi, theta = (0.0, *g.angles) if g.kind is GateKind.RX else g.angles
+    ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    m[i, i] = m[j, j] = ch
+    m[i, j] = -1j * cmath.exp(-1j * phi) * sh
+    m[j, i] = -1j * cmath.exp(1j * phi) * sh
     return m
 
 

@@ -81,7 +81,8 @@ def dist_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
         products = np.abs(a) * np.abs(b)
         idx = np.unravel_index(int(np.argmax(products)), products.shape)
         overlap = np.conj(b[idx]) * a[idx]
-    z = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
+    # the phase alone: 1 / |overlap| overflows where |overlap| is subnormal
+    z = np.exp(1j * np.angle(overlap))
     return float(np.max(np.abs(a - z * b)))
 
 

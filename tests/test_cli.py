@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from conftest import mp_observables
 from ptqsim import cli
@@ -459,6 +461,11 @@ def test_render_csv_formats_repeated_coordinates_per_value():
     assert text == reference_csv(list(points), backend)
     assert text.count("\n-0,") == grid.t_steps
     assert cli.render_csv(points, backend, 5, 14) == "".join(text.splitlines(True)[6:15])
+    # the template holds shots and seed as literals, up to their largest values
+    big = dataclasses.replace(backend, shots=2**63 - 1, seed=2**64 - 1)
+    big_text = cli.render_csv(points, big, 0, len(points))
+    assert big_text == reference_csv(list(points), big)
+    assert big_text.splitlines()[1].endswith(",9223372036854775807,18446744073709551615,0")
 
 
 def test_run_writes_no_negative_zero_coordinate(tmp_path):
@@ -719,3 +726,113 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert csv_path.exists()
+
+
+# values the config fuzz draws for each key, the valid ones first, then
+# extreme, non-finite and unparsable ones
+FUZZ_FLOATS = ("0", "-0", "0.5", "1", "3", "1e-320", "1e3", "1.7976931348623157e308", "inf", "-1", "nan", "abc")
+FUZZ_VALUES = {
+    "backend": ("theory", "ion", "transmon", "ION", "qubit"),
+    "observable": ("return_prob", "postselected", "POSTSELECTED", "both"),
+    "epsilon": ("0.01", "0.02, -0.015, 0.01", "0.49,-0.49", "-0", "0.5", "nan", "-inf", "1e308", "0.1,"),
+    # a grid stays within 5 x 5 points or is refused
+    **dict.fromkeys(("r_steps", "t_steps"), ("1", "2", "5", "0", "-1", "2.0", "10000001", str(2**64))),
+    "shots": ("1", "3", "512", str(2**63 - 1), "0", "2.5", str(2**63), "1e3"),
+    "seed": ("0", "3", str(2**64 - 1), "-1", str(2**64), "2.5", "0x10"),
+    "ions": ("1", "3", str(2**64), "0", "-1", "2.5"),
+    **dict.fromkeys(("r_min", "r_max", "t_min", "t_max"), FUZZ_FLOATS),
+}
+FUZZ_CONFUSION = {
+    "identity": b"1 0 0\n0 1 0\n0 0 1\n",
+    "leaky": b"0.9 0.05 0\n0.1 0.9 0.1\n0 0.05 0.9\n",
+    "short": b"1 0 0\n",
+    "negative": b"1.1 0 0\n-0.1 1 0\n0 0 1\n",
+    "undecodable": b"\xff\xfe 1 0 0\n",
+}
+fuzz_config_lines = st.lists(
+    st.sampled_from(sorted(FUZZ_VALUES)).flatmap(
+        lambda key: st.sampled_from(FUZZ_VALUES[key]).map(f"{key} = {{}}".format)
+    ),
+    max_size=5,
+)
+
+
+@settings(deadline=None, max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=fuzz_config_lines,
+    junk=st.sampled_from((None, None, "# comment", "", "shots", "= 5", "unknown = 1", "seed = 1 = 2")),
+    junk_at=st.integers(0, 5),
+    confusion=st.sampled_from((None, None, "missing", *FUZZ_CONFUSION)),
+    undecodable=st.sampled_from((False, False, False, True)),
+    flags=st.sampled_from(([], [], ["--backend", "ion"], ["--seed", str(2**64)], ["--workers", "2"])),
+)
+def test_run_fuzzed_configs(tmp_path, lines, junk, junk_at, confusion, undecodable, flags):
+    # any config ends with exit 0, 1 or 2 and no exception; a failed run
+    # leaves an earlier run's outputs as they were, and no run leaves a temp file
+    for name, data in FUZZ_CONFUSION.items():
+        (tmp_path / name).write_bytes(data)
+    outputs = {tmp_path / name: b"earlier run\n" for name in ("out.csv", "out.pgm", "out.pgm.mask")}
+    for path, data in outputs.items():
+        path.write_bytes(data)
+    if junk is not None:
+        lines.insert(junk_at, junk)
+    text = "r_steps = 2\nt_steps = 3\n" + "".join(f"{line}\n" for line in lines)
+    text += f"output_csv = {tmp_path / 'out.csv'}\noutput_pgm = {tmp_path / 'out.pgm'}\n"
+    if confusion is not None:
+        text += f"confusion_file = {tmp_path / confusion}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes((b"\xff" if undecodable else b"") + text.encode())
+    code = run_cli(["run", "--config", str(cfg), *flags])
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert (tmp_path / "out.csv").read_text().startswith("r,t,backend,")
+    else:
+        assert {path: path.read_bytes() for path in outputs} == outputs
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+FUZZ_ANGLES = (
+    "0", "-0", "1.5707963267948966", "3.141592653589793", "-7.5", "1e17", "1e300",
+    "1.7976931348623157e308", "-1.7976931348623157e308", "5e-324",
+)
+# a circuit of abstract rotations, which both targets take, with at most one
+# line that may be malformed
+fuzz_rotations = st.lists(
+    st.tuples(st.sampled_from(("RX", "rx")), st.sampled_from(("0 1", "1 2")), st.sampled_from(FUZZ_ANGLES)),
+    max_size=6,
+)
+fuzz_gate_junk = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from(("RX", "RZ", "RION", "RY", "")),
+        st.sampled_from(("0 1", "1 2", "0 2", "1 0", "2 3", "1", "a b")),
+        st.lists(st.sampled_from(FUZZ_ANGLES + ("inf", "nan", "x")), max_size=3).map(" ".join),
+    ),
+    st.sampled_from((("#", "comment", ""), ("", "", ""), ("RX", "0 1", "1 # note"))),
+)
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=fuzz_rotations,
+    junk=fuzz_gate_junk,
+    junk_at=st.integers(0, 6),
+    undecodable=st.sampled_from((False, False, False, True)),
+    target=st.sampled_from(("ion", "transmon")),
+)
+def test_transpile_fuzzed_circuits(tmp_path, capsys, lines, junk, junk_at, undecodable, target):
+    # any circuit text is transpiled or refused with exit 2, never a traceback
+    if junk is not None:
+        lines.insert(junk_at, junk)
+    text = "".join(" ".join(line) + "\n" for line in lines)
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_bytes((b"\xfe" if undecodable else b"") + text.encode())
+    code = run_cli(["transpile", "--target", target, str(src), str(out)])
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 0:
+        assert equivalent(parse_circuit(src.read_text()), parse_circuit(out.read_text()), 1e-10)
+    assert not list(tmp_path.glob("*.tmp"))

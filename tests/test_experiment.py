@@ -109,6 +109,39 @@ def test_backend_config_validation():
     assert BackendConfig(shots=MAX_SHOTS).shots == 2**63 - 1
 
 
+# each count, seed and index the library takes, as a call of its value
+INTEGER_ARGUMENTS = {
+    "shots": lambda v: run_point(PTParams(0.5, 1.0), BackendConfig(shots=v)),
+    "exact shots": lambda v: run_point(PTParams(0.5, 1.0), BackendConfig(shots=v, exact=True)),
+    "seed": lambda v: run_point(PTParams(0.5, 1.0), BackendConfig(seed=v)),
+    "ion_count": lambda v: sweep(
+        SweepGrid(r_steps=1, t_steps=130), BackendConfig(kind=BackendKind.ION, ion_count=v)
+    ),
+    "run_point ion_index": lambda v: run_point(
+        PTParams(0.5, 1.0), default_backend(BackendKind.ION), ion_index=v
+    ),
+    "exact_probabilities ion_index": lambda v: exact_probabilities(
+        PTParams(0.5, 1.0), default_backend(BackendKind.ION), ion_index=v
+    ),
+    "preparations": lambda v: estimate_confusion(BackendConfig(), v),
+    "sample_counts shots": lambda v: sample_counts(np.array([0.5, 0.5, 0.0]), v, 3),
+    "sample_counts seed": lambda v: sample_counts(np.array([0.5, 0.5, 0.0]), 10, v),
+    "r_steps": lambda v: SweepGrid(r_steps=v),
+    "t_steps": lambda v: SweepGrid(t_steps=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_counts_seeds_and_indices_must_be_integers(name):
+    # a float is refused, not truncated; numpy integers act as ints
+    call = INTEGER_ARGUMENTS[name]
+    for value in (2.5, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(value)
+    for integer in (np.int8(2), np.uint64(2)):
+        assert repr(call(integer)) == repr(call(2))
+
+
 def test_default_backends():
     ion = default_backend(BackendKind.ION, seed=3)
     assert ion.shots == 512
@@ -328,7 +361,7 @@ def test_sampler_state_does_not_leak_between_rows():
     cases = [(p, shots, i) for p in rows for shots in SAMPLER_SHOTS for i in ids[:3]]
     cases += [(rows[k % len(rows)], SAMPLER_SHOTS[k % 4], i) for k, i in enumerate(ids)]
     rng.shuffle(cases)
-    draw = experiment._sampler()
+    draw = experiment._draw
     for start in range(0, len(cases), 3):
         # blocks of one to three rows that share a shot count
         block = [cases[start]]
@@ -340,7 +373,7 @@ def test_sampler_state_does_not_leak_between_rows():
 
 
 def test_sampler_checks_every_row():
-    draw = experiment._sampler()
+    draw = experiment._draw
     good = [1.0, 0.0, 0.0]
     for bad, message in (
         ([0.5, 0.6, -0.1], "probability -1.000e-01 is negative"),
@@ -357,7 +390,7 @@ def test_sampler_checks_every_row():
 def test_sampler_reports_the_first_failing_row():
     # the block is checked as arrays, and the message is the one the first
     # failing row raised a row at a time: its negative entry before its sum
-    draw = experiment._sampler()
+    draw = experiment._draw
     good, bad_sum, nan = [1.0, 0.0, 0.0], [0.3, 0.3, 0.3], [0.5, 0.5, math.nan]
     for rows, message in (
         ([good, bad_sum, nan], "probabilities sum to 0.8999"),

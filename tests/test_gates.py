@@ -2,6 +2,7 @@
 the textual circuit format."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from ptqsim.linalg import I3, is_unitary, ket, populations
 from ptqsim.model import PTParams
 
 HALF_PI = math.pi / 2.0
+MAX_FLOAT = sys.float_info.max
 
 
 def test_gate_validation():
@@ -47,7 +49,18 @@ def test_gate_validation():
         rx(0, 1, float("inf"))
 
 
-def test_gate_matrix_rx_pi():
+@given(
+    st.sampled_from((0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e17, 1e300, MAX_FLOAT, -MAX_FLOAT)),
+    st.sampled_from(((0, 1), (0, 2), (1, 2))),
+)
+def test_gate_matrix_rx_pi(theta, subspace):
+    # RX is built as RION at phase 0; it must equal the explicit rotation block
+    i, j = subspace
+    ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    ref = np.eye(3, dtype=complex)
+    ref[i, i] = ref[j, j] = ch
+    ref[i, j] = ref[j, i] = -1j * sh
+    assert (gate_matrix(rx(i, j, theta)) == ref).all()
     mat = gate_matrix(rx(0, 1, math.pi))
     ref = np.array([[0, -1j, 0], [-1j, 0, 0], [0, 0, 1]], dtype=complex)
     assert np.max(np.abs(mat - ref)) < 1e-12
