@@ -7,7 +7,7 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -205,23 +205,13 @@ def render_csv(points: SweepResult, backend: BackendConfig, start: int, stop: in
     return "\n".join(lines) + "\n"
 
 
-def _csv_blocks(points: SweepResult, backend: BackendConfig) -> Iterator[str]:
-    for start in range(0, max(len(points), 1), CSV_BLOCK_ROWS):
-        yield render_csv(points, backend, start, start + CSV_BLOCK_ROWS)
-
-
-@dataclass(frozen=True)
-class HeatmapImage:
-    pixels: np.ndarray  # uint8, row 0 = r_max
-    missing: tuple[tuple[int, int], ...]  # (r_index, t_index) of absent values
-
-
 def render_heatmap(
     grid: SweepGrid,
     backend: BackendConfig,
     observable: Observable,
     points: SweepResult,
-) -> HeatmapImage:
+) -> tuple[np.ndarray, np.ndarray]:
+    """uint8 pixels (row 0 = r_max), and argwhere of the undefined points"""
     # an exact-mode run already holds the exact values in p0_raw and p0_postselected
     exact_like = backend.kind is BackendKind.THEORY
     if observable is Observable.RETURN_PROB:
@@ -235,20 +225,17 @@ def render_heatmap(
     # np.rint rounds half to even, as round() does
     levels = np.rint(255.0 * np.clip(values, 0.0, 1.0))
     levels[missing] = 0.0
-    return HeatmapImage(
-        pixels=levels.astype(np.uint8)[::-1],
-        missing=tuple(map(tuple, np.argwhere(missing).tolist())),
-    )
+    return levels.astype(np.uint8)[::-1], np.argwhere(missing)
 
 
-def format_pgm(img: HeatmapImage, metadata: str) -> str:
+def format_pgm(pixels: np.ndarray, metadata: str) -> str:
     lines = ["P2"]
     if metadata:
         lines.append(f"# {metadata}")
-    height, width = img.pixels.shape
+    height, width = pixels.shape
     lines.append(f"{width} {height}")
     lines.append("255")
-    for row in img.pixels.tolist():
+    for row in pixels.tolist():
         lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
@@ -280,7 +267,12 @@ def write_outputs(cfg: RunConfig, backend: BackendConfig, points: SweepResult) -
     removed when no point is missing. Every artifact is rendered and written
     to a temp file before any target is replaced (`_replace_files`). The CSV
     is rendered and written a block of rows at a time."""
-    texts: dict[str, Iterable[str]] = {cfg.output_csv: _csv_blocks(points, backend)}
+    texts: dict[str, Iterable[str]] = {
+        cfg.output_csv: (
+            render_csv(points, backend, start, start + CSV_BLOCK_ROWS)
+            for start in range(0, max(len(points), 1), CSV_BLOCK_ROWS)
+        )
+    }
     stale_mask = None
     if cfg.output_pgm is not None:
         metadata = (
@@ -288,11 +280,11 @@ def write_outputs(cfg: RunConfig, backend: BackendConfig, points: SweepResult) -
             f" confusion={backend.confusion.label} shots={backend.shots}"
             f" seed={backend.seed} rows=r_max..r_min cols=t_min..t_max"
         )
-        img = render_heatmap(cfg.grid, backend, cfg.observable, points)
-        texts[cfg.output_pgm] = [format_pgm(img, metadata)]
+        pixels, missing = render_heatmap(cfg.grid, backend, cfg.observable, points)
+        texts[cfg.output_pgm] = [format_pgm(pixels, metadata)]
         mask_path = cfg.output_pgm + ".mask"
-        if img.missing:
-            texts[mask_path] = ["".join(f"{i_r} {i_t}\n" for i_r, i_t in img.missing)]
+        if len(missing):
+            texts[mask_path] = ["".join(f"{i_r} {i_t}\n" for i_r, i_t in missing.tolist())]
         else:
             stale_mask = mask_path
     _replace_files(texts)
@@ -301,6 +293,9 @@ def write_outputs(cfg: RunConfig, backend: BackendConfig, points: SweepResult) -
 
 
 def run_command(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        print("config error: --workers must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         data = Path(args.config).read_bytes()
     except OSError as exc:
@@ -335,7 +330,7 @@ def run_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def transpile_command(args: argparse.Namespace) -> int:
+def transpile_command(args: argparse.Namespace, transpilers: dict) -> int:
     try:
         data = Path(args.input).read_bytes()
     except OSError as exc:
@@ -343,9 +338,7 @@ def transpile_command(args: argparse.Namespace) -> int:
         return EXIT_IO
     try:
         circuit = parse_circuit(data.decode("utf-8"))
-        transpiled = (
-            transpile_ion(circuit) if args.target == "ion" else transpile_transmon(circuit)
-        )
+        transpiled = transpilers[args.target](circuit)
     except (CircuitParseError, UnsupportedGate, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -431,27 +424,25 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--workers", type=int, default=1, help="accepted (K >= 1) but has no effect"
     )
+    p_run.set_defaults(handler=run_command)
 
+    # built per call, so a transpiler rebound on this module is the one run
+    transpilers = {"ion": transpile_ion, "transmon": transpile_transmon}
     p_tr = sub.add_parser("transpile", help="rewrite a circuit file into a native gate set")
-    p_tr.add_argument("--target", required=True, choices=["ion", "transmon"])
+    p_tr.add_argument("--target", required=True, choices=transpilers)
     p_tr.add_argument("input", help="circuit file to read")
     p_tr.add_argument("output", help="circuit file to write")
+    p_tr.set_defaults(handler=lambda args: transpile_command(args, transpilers))
 
     p_dc = sub.add_parser("dilation-check", help="randomized unitary-completion checks")
     p_dc.add_argument("--n", type=int, default=2, help="contraction size")
     p_dc.add_argument("--m", type=int, default=1, help="ancilla dimensions")
     p_dc.add_argument("--trials", type=int, default=200)
     p_dc.add_argument("--seed", type=int, default=0)
+    p_dc.set_defaults(handler=dilation_check_command)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        if args.workers < 1:
-            print("config error: --workers must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        return run_command(args)
-    if args.command == "transpile":
-        return transpile_command(args)
-    return dilation_check_command(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Circuit, circuit_unitary, rx
-from .linalg import expm_taylor, is_unitary
+from .linalg import _finite, _integer, expm_taylor, is_unitary
 from .model import PTParams, _angles, _postselected, hamiltonian, kernel
 
 SIZE_CAP = 16
@@ -64,10 +64,9 @@ def qutrit_unitary(p: PTParams) -> np.ndarray:
 
 def embed_check(u: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-10) -> bool:
     """True iff u is unitary and its top-left block equals v/lam, within tol."""
-    if tol <= 0 or lam <= 0:
+    if not (tol > 0 and lam > 0):
         raise ValueError("tol and lam must be positive")
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u, v = _finite(u), _finite(v)
     if not is_unitary(u, tol):
         return False
     n = v.shape[0]
@@ -82,8 +81,7 @@ def rescale_to_contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("a must be a nonempty matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    _finite(a)
     sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
     if sigma_max < 1e-14:
         raise ZeroMatrix("largest singular value below 1e-14")
@@ -105,9 +103,8 @@ def general_dilation(a: np.ndarray, m: int) -> Dilation:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError("a must be a nonempty square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
+    _finite(a)
+    n, m = a.shape[0], _integer("m", m)
     if m < 0:
         raise ValueError("m must be nonnegative")
     if n + m > SIZE_CAP:
@@ -149,6 +146,9 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
             f"log(exp(-mu t).sigma_max) = {log_norm:.6g} exceeds 0; "
             "the shifted evolution is not a contraction"
         )
+    # the damped generator's entries are at most (r + |mu|).t in modulus
+    if not (p.r + abs(mu)) * p.t < math.inf:
+        raise ValueError("(r + |mu|).t must be finite")
     shifted = hamiltonian(p.r) - 1j * mu * np.eye(2, dtype=complex)
     w = expm_taylor(-1j * shifted * p.t)
     num = abs(w[0, 0]) ** 2

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dilation import qutrit_circuit
 from .gates import Circuit, Gate, GateKind, circuit_unitary, transpile_ion
-from .linalg import populations
+from .linalg import _finite, _integer, populations
 from .model import PTParams, qutrit_populations_array
 
 DEFAULT_ION_EPSILON = (0.02, -0.015, 0.01, -0.02, 0.005)
@@ -50,8 +50,7 @@ class ConfusionMatrix:
         m = np.array(self.entries, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"confusion matrix must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("confusion matrix entries must be finite")
+        _finite(m, float, "confusion matrix")
         if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
             raise ValueError("confusion matrix entries must lie in [0, 1]")
         sums = m.sum(axis=0)
@@ -87,13 +86,6 @@ def load_confusion(text: str, label: str = "file") -> ConfusionMatrix:
     if len(values) != 9:
         raise ValueError(f"confusion file must hold 9 reals, got {len(values)}")
     return ConfusionMatrix(np.array(values).reshape(3, 3), label=label)
-
-
-def _integer(name: str, value) -> int:
-    """An int or numpy integer as an int; a float is refused, not truncated."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_shots(name: str, shots: int) -> int:
@@ -135,6 +127,8 @@ class BackendConfig:
         if not all(abs(e) < 0.5 for e in self.epsilon):
             raise ValueError("per-ion over-rotation must satisfy |epsilon| < 0.5")
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
+        if not isinstance(self.exact, (bool, np.bool_)):
+            raise ValueError(f"exact must be a bool, got {self.exact!r}")
         if self.confusion is None:
             object.__setattr__(self, "confusion", identity_confusion())
 
@@ -150,16 +144,10 @@ def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
     return BackendConfig(kind=kind, shots=8192, confusion=confusion, seed=seed)
 
 
-def _ion_epsilon(backend: BackendConfig, ion_index: int) -> float:
-    if not backend.epsilon:
-        return 0.0
-    return backend.epsilon[ion_index % len(backend.epsilon)]
-
-
 def miscalibrate(c: Circuit, eps: float) -> Circuit:
     """Scale every pulse's rotation angle, its last, by (1 + eps); virtual
     phases and pulse-phase arguments are untouched."""
-    if abs(eps) >= 0.5:
+    if not abs(eps) < 0.5:
         raise ValueError("|eps| must be below 0.5")
     return tuple(
         g if g.kind is GateKind.RZ
@@ -174,9 +162,10 @@ def _probabilities(
     """(N, 3) declared-outcome distributions at the points (r[i], t[i]); ion
     holds each point's ion index on the ion backend."""
     if backend.kind is BackendKind.ION:
+        eps = backend.epsilon or (0.0,)
         true_probs = np.array([
             populations(circuit_unitary(miscalibrate(
-                transpile_ion(qutrit_circuit(PTParams(r_i, t_i))), _ion_epsilon(backend, k)
+                transpile_ion(qutrit_circuit(PTParams(r_i, t_i))), eps[k % len(eps)]
             ))[:, 0])
             for r_i, t_i, k in zip(r.tolist(), t.tolist(), ion.tolist())
         ])
@@ -249,7 +238,7 @@ def _id_words(ids: np.ndarray) -> list:
 
 def _key_words(key) -> list:
     if not isinstance(key, np.ndarray):
-        return _words(int(key))
+        return _words(_integer("key", key))
     if key.dtype.kind not in "iu":
         raise ValueError(f"array keys must hold integers, got {key.dtype}")
     if key.size and not (0 <= key.min() and key.max() <= _MASK32):
@@ -288,7 +277,7 @@ def derive_seed(base: int, *key):
     computed in uint32 arithmetic. A key may be an integer array with entries
     below 2**32; the ids then come back as a uint64 array of the keys'
     broadcast shape, at least 1-d, and only the rounds that mix array words run on arrays."""
-    words = _words(int(base))
+    words = _words(_integer("seed", base))
     if key:
         # numpy pads the run entropy to the pool size when a spawn key is given
         words += [0] * (_POOL_SIZE - len(words))
@@ -327,12 +316,13 @@ def _draw(probs: np.ndarray, shots: int, words: list) -> np.ndarray:
 
 
 def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial draw from the stream of `Philox(SeedSequence(seed))`."""
-    return _draw(np.asarray(probs, dtype=float)[None], shots, _words(_integer("seed", seed)))[0]
+    """Multinomial draw of probs, flattened, from `Philox(SeedSequence(seed))`."""
+    return _draw(np.asarray(probs, dtype=float).reshape(1, -1), shots, _words(_integer("seed", seed)))[0]
 
 
 def postselect_ratios(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """first / (first + second) elementwise; NaN where the sum is 0."""
+    _finite(first, float, "postselect_ratios"), _finite(second, float, "postselect_ratios")
     kept = first + second
     return np.divide(first, kept, out=np.full(kept.shape, np.nan), where=kept > 0)
 

@@ -44,6 +44,7 @@ class Gate:
     def __post_init__(self) -> None:
         if self.subspace not in _VALID_SUBSPACES:
             raise ValueError(f"bad subspace {self.subspace}")
+        object.__setattr__(self, "subspace", _VALID_SUBSPACES[_VALID_SUBSPACES.index(self.subspace)])
         expected = 2 if self.kind is GateKind.RION else 1
         if len(self.angles) != expected:
             raise ValueError(
@@ -96,7 +97,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 class GateSet:
     """A native gate set: `admits(g)` is True for the gates it executes."""
 
-    name: str
     admits: Callable[[Gate], bool]
 
 
@@ -112,8 +112,8 @@ def _transmon_admits(g: Gate) -> bool:
     return g.kind is GateKind.RZ
 
 
-ION = GateSet("ION", _ion_admits)
-TRANSMON = GateSet("TRANSMON", _transmon_admits)
+ION = GateSet(_ion_admits)
+TRANSMON = GateSet(_transmon_admits)
 
 
 def _require_abstract_rx(c: Circuit) -> None:
@@ -240,7 +240,7 @@ def transpile_transmon(c: Circuit) -> Circuit:
 def equivalent(
     c1: Circuit, c2: Circuit, tol: float = 1e-10, up_to_phase: bool = False
 ) -> bool:
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     u1 = circuit_unitary(c1)
     u2 = circuit_unitary(c2)

@@ -14,8 +14,24 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _integer(name: str, value) -> int:
+    """An int or numpy integer as an int; a float is refused, not truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(m, dtype=complex, name: str = "matrix") -> np.ndarray:
+    """m as an array of dtype, which must hold no NaN or infinity."""
+    m = np.asarray(m, dtype=dtype)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} entries must be finite")
+    return m
+
+
 def ket(index: int, dim: int = 3) -> np.ndarray:
     """Basis column vector |index> in the given dimension."""
+    index, dim = _integer("index", index), _integer("dim", dim)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside dimension {dim}")
     v = np.zeros(dim, dtype=complex)
@@ -30,16 +46,16 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff the max-abs entry of (m^dag m - 1) is at most tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    m = np.asarray(m, dtype=complex)
+    m = _finite(m)
     defect = dag(m) @ m - np.eye(m.shape[0], dtype=complex)
     return float(np.max(np.abs(defect))) <= tol
 
 
 def populations(state: np.ndarray) -> np.ndarray:
     """|amplitude_i|^2 per component; sums to the squared norm."""
-    s = np.asarray(state, dtype=complex)
+    s = _finite(state, name="state")
     return (s.real * s.real + s.imag * s.imag).astype(float)
 
 
@@ -60,8 +76,7 @@ def svd2(m: np.ndarray) -> Svd2:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    _finite(m)
     left, sigma, right_dag = np.linalg.svd(m)
     return Svd2(float(sigma[0]), float(sigma[1]), left, dag(right_dag))
 
@@ -72,10 +87,10 @@ def dist_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
     z is taken from trace(b^dag a); when that vanishes, from the entry pair
     with the largest |a_ij . b_ij| (symmetric in the arguments either way).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _finite(a), _finite(b)
     overlap = np.trace(dag(b) @ a)
     if abs(overlap) <= 1e-14:
         products = np.abs(a) * np.abs(b)
@@ -92,9 +107,11 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     Deliberately series-based so it shares no code path with the closed
     forms it is used to cross-check.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _finite(m)
+    scale = float(np.max(np.abs(m), initial=0.0))
+    if m.ndim != 2 or m.size == 0 or scale > 2.0**1022:
+        raise ValueError("m must be a nonempty matrix, its entries at most 2**1022 in modulus")
     n = m.shape[0]
-    scale = float(np.max(np.abs(m)))
     squarings = 0
     if scale > 0.5:
         squarings = int(math.ceil(math.log2(scale / 0.5)))
@@ -104,6 +121,7 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     for k in range(1, 31):
         term = term @ x / k
         acc = acc + term
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            acc = acc @ acc
+    return _finite(acc, name="the exponential's")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_X
+from .linalg import SIGMA_X, _finite
 
 
 class LambdaTooSmall(ValueError):
@@ -80,7 +80,6 @@ class Kernel:
 class SingularPair:
     sigma_plus: float
     sigma_minus: float
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,9 @@ def hamiltonian(r: float) -> np.ndarray:
 
 def pt_symmetry_check(m: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff sigma_x . conj(m) . sigma_x == m within tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    m = np.asarray(m, dtype=complex)
+    m = _finite(m)
     transformed = SIGMA_X @ m.conj() @ SIGMA_X
     return float(np.max(np.abs(transformed - m))) <= tol
 
@@ -114,8 +113,10 @@ def _root(r: float) -> float:
 
 def eigenvalues(r: float) -> tuple[complex, complex]:
     """(+h, -h): real below r = 1, imaginary above."""
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError("r must be nonnegative")
+    if r == math.inf:
+        raise ValueError("r must be finite")
     h = complex(_root(r)) if r <= 1.0 else 1j * _root(r)
     return (h, -h)
 
@@ -175,7 +176,7 @@ def evolution(p: PTParams) -> np.ndarray:
 def _singular_pair(r: float, k: Kernel) -> SingularPair:
     scaled = k.ga + abs(r * k.gs)
     sigma_plus, sigma_minus = _unscale(scaled, k.g, k.log_g), k.g / scaled
-    return SingularPair(sigma_plus, sigma_minus, sigma_minus / sigma_plus)
+    return SingularPair(sigma_plus, sigma_minus)
 
 
 def singular_values(p: PTParams) -> SingularPair:
@@ -190,8 +191,8 @@ def singular_values(p: PTParams) -> SingularPair:
 
 def _angles(r: float, k: Kernel) -> Angles:
     phi = math.atan2(k.gs, k.gc)
-    ratio = _singular_pair(r, k).ratio
-    theta = -2.0 * math.acos(min(max(ratio, 0.0), 1.0))
+    sv = _singular_pair(r, k)
+    theta = -2.0 * math.acos(min(max(sv.sigma_minus / sv.sigma_plus, 0.0), 1.0))
     return Angles(phi=phi, theta=theta)
 
 
@@ -281,7 +282,7 @@ def success_probability(p: PTParams, psi: np.ndarray) -> float:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,):
         raise ValueError("psi must be a 2-vector")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise ValueError("psi must be normalized")
     k = kernel(p)
     w = _evolution(p.r, k, scaled=True) @ psi
@@ -292,9 +293,11 @@ def rescaled_evolution(p: PTParams, lam: float) -> np.ndarray:
     """V(t)/lam; only defined when the result is a contraction."""
     k = kernel(p)
     sigma_plus = _singular_pair(p.r, k).sigma_plus
-    if lam < sigma_plus - 1e-12:
+    if not lam >= sigma_plus - 1e-12:
         raise LambdaTooSmall(
             f"lambda = {lam:.12g} is below the largest singular value "
             f"{sigma_plus:.12g}"
         )
+    if lam == math.inf:
+        raise ValueError("lambda must be finite")
     return _evolution(p.r, k) / lam

@@ -128,6 +128,9 @@ INTEGER_ARGUMENTS = {
     "sample_counts seed": lambda v: sample_counts(np.array([0.5, 0.5, 0.0]), 10, v),
     "r_steps": lambda v: SweepGrid(r_steps=v),
     "t_steps": lambda v: SweepGrid(t_steps=v),
+    "derive_seed seed": lambda v: derive_seed(v),
+    "derive_seed key": lambda v: derive_seed(2, v),
+    "derive_seed later key": lambda v: derive_seed(2, 0, 3, v),
 }
 
 
@@ -140,6 +143,17 @@ def test_counts_seeds_and_indices_must_be_integers(name):
             call(value)
     for integer in (np.int8(2), np.uint64(2)):
         assert repr(call(integer)) == repr(call(2))
+
+
+def test_exact_must_be_a_bool():
+    # a truthy non-bool once turned exact mode on
+    for value in ("no", 1, 0.0, None, np.int8(1)):
+        with pytest.raises(ValueError, match="exact must be a bool"):
+            BackendConfig(exact=value)
+    sampled = run_point(PTParams(0.5, 1.0), BackendConfig(exact=np.bool_(False))).p0_raw
+    assert sampled * 512 == int(sampled * 512)
+    exact = run_point(PTParams(0.5, 1.0), BackendConfig(exact=np.bool_(True))).p0_raw
+    assert exact == return_probability(PTParams(0.5, 1.0))
 
 
 def test_default_backends():

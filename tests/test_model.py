@@ -207,7 +207,7 @@ def test_evolution_matches_taylor_oracle(p):
 def test_singular_value_examples():
     for t in (0.0, 0.7, 3.1):
         sv = singular_values(PTParams(0.0, t))
-        assert sv.sigma_plus == 1.0 and sv.sigma_minus == 1.0 and sv.ratio == 1.0
+        assert sv.sigma_plus == 1.0 and sv.sigma_minus == 1.0 and sv.sigma_minus / sv.sigma_plus == 1.0
     sv = singular_values(PTParams(1.0, 1.0))
     assert sv.sigma_plus == pytest.approx(2.414213562373095, abs=1e-12)
     assert sv.sigma_minus == pytest.approx(0.4142135623730951, abs=1e-12)
@@ -244,7 +244,7 @@ def test_angles_unbroken_value():
 
 def test_angles_broken_phase_limit():
     sv = singular_values(PTParams(1.2, 20.0))
-    assert sv.ratio < 1e-5
+    assert sv.sigma_minus / sv.sigma_plus < 1e-5
     ang = angles(PTParams(1.2, 20.0))
     assert abs(ang.theta + math.pi) < 1e-4
 
