@@ -104,6 +104,12 @@ def _backend_field(name: str, convert: Callable[[str], object]) -> Callable[[str
     return parse
 
 
+def _path(value: str) -> str:
+    if "\0" in value:
+        raise ValidationError("a path may not hold a NUL byte")
+    return value
+
+
 # config key -> parser of its value; a plain ValueError means unparsable text
 _PARSERS: dict[str, Callable[[str], object]] = {
     "backend": _choice(BackendKind),
@@ -112,9 +118,7 @@ _PARSERS: dict[str, Callable[[str], object]] = {
     "observable": _choice(Observable),
     "ions": _backend_field("ion_count", int),
     "epsilon": _backend_field("epsilon", lambda value: tuple(map(float, value.split(",")))),
-    "confusion_file": str,
-    "output_csv": str,
-    "output_pgm": str,
+    **dict.fromkeys(("confusion_file", "output_csv", "output_pgm"), _path),
     **dict.fromkeys(("r_min", "r_max", "t_min", "t_max"), float),
     **dict.fromkeys(("r_steps", "t_steps"), int),
 }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Circuit, circuit_unitary, rx
-from .linalg import _finite, _integer, expm_taylor, is_unitary
+from .linalg import M, N, _finite, _integer, expm_taylor, is_unitary
 from .model import PTParams, _angles, _postselected, hamiltonian, kernel
 
 SIZE_CAP = 16
@@ -66,7 +66,7 @@ def embed_check(u: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-10) ->
     """True iff u is unitary and its top-left block equals v/lam, within tol."""
     if not (tol > 0 and lam > 0):
         raise ValueError("tol and lam must be positive")
-    u, v = _finite(u), _finite(v)
+    u, v = _finite(u, "u", (N, N)), _finite(v, "v", (N, N))
     if not is_unitary(u, tol):
         return False
     n = v.shape[0]
@@ -78,10 +78,7 @@ def rescale_to_contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
     is inf where it overflows. Where the SVD overflows (to NaN if an entry's
     modulus does), both are read from a scaled by a power of two that brings
     every real and imaginary part below 1."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("a must be a nonempty matrix")
-    _finite(a)
+    a = _finite(a, "a", (M, N))
     sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
     if sigma_max < 1e-14:
         raise ZeroMatrix("largest singular value below 1e-14")
@@ -100,10 +97,7 @@ def general_dilation(a: np.ndarray, m: int) -> Dilation:
     any further ancillas. K holds the k = min(n, m) smallest singular values
     and D = sqrt(1 - S_K^2); every singular value outside K must be 1 within
     the 1e-12 tolerance on 1 - s^2."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise ValueError("a must be a nonempty square matrix")
-    _finite(a)
+    a = _finite(a, "a", (N, N))
     n, m = a.shape[0], _integer("m", m)
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -154,6 +148,13 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
     num = abs(w[0, 0]) ** 2
     total = num + abs(w[1, 0]) ** 2
     if total == 0.0:
+        # exp(-mu t).sigma_plus is representable, so the squarings lost the
+        # rotation to roundoff; the generator's row sums are at most 1 + r + |mu|
+        if log_norm > math.log(math.ulp(0.0)):
+            raise ValueError(
+                f"(1 + r + |mu|).t = {(1.0 + p.r + abs(mu)) * p.t:.6g} is beyond "
+                "what the 30-term series resolves"
+            )
         raise DilationError(
             "the series-summed damped evolution underflows to 0 "
             f"at mu.t = {mu * p.t:.6g}"

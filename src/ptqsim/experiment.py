@@ -47,10 +47,7 @@ class ConfusionMatrix:
     label: str = "custom"
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"confusion matrix must be 3x3, got {m.shape}")
-        _finite(m, float, "confusion matrix")
+        m = _finite(self.entries, "confusion matrix", (3, 3), float)
         if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
             raise ValueError("confusion matrix entries must lie in [0, 1]")
         sums = m.sum(axis=0)
@@ -119,6 +116,8 @@ class BackendConfig:
     exact: bool = False  # report exact probabilities instead of sampled ratios
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, BackendKind):
+            raise ValueError(f"kind must be a BackendKind, got {self.kind!r}")
         # numpy integers are stored as ints, which exact-mode arithmetic needs
         object.__setattr__(self, "shots", _check_shots("shots", self.shots))
         object.__setattr__(self, "ion_count", _integer("ion_count", self.ion_count))
@@ -135,7 +134,8 @@ class BackendConfig:
 
 def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
     """Backend with the default shot budget and synthetic noise model."""
-    if kind is BackendKind.THEORY:
+    if kind not in (BackendKind.ION, BackendKind.TRANSMON):
+        # theory, or a kind that BackendConfig refuses
         return BackendConfig(kind=kind, seed=seed)
     diagonal = DEFAULT_ION_DIAGONAL if kind is BackendKind.ION else DEFAULT_TRANSMON_DIAGONAL
     confusion = synthetic_confusion(diagonal, f"synthetic-{kind.value}-{diagonal:g}")
@@ -322,7 +322,7 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
 
 def postselect_ratios(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """first / (first + second) elementwise; NaN where the sum is 0."""
-    _finite(first, float, "postselect_ratios"), _finite(second, float, "postselect_ratios")
+    _finite(first, "postselect_ratios", dtype=float), _finite(second, "postselect_ratios", dtype=float)
     kept = first + second
     return np.divide(first, kept, out=np.full(kept.shape, np.nan), where=kept > 0)
 

@@ -21,9 +21,17 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _finite(m, dtype=complex, name: str = "matrix") -> np.ndarray:
-    """m as an array of dtype, which must hold no NaN or infinity."""
+N, M = -1, -2  # free lengths in a `_finite` shape
+
+
+def _finite(m, name: str, shape: tuple[int, ...] | None = None, dtype=complex) -> np.ndarray:
+    """m as an array of dtype holding no NaN or infinity, of shape if given: a
+    free length there is any positive length, the same wherever it appears."""
     m = np.asarray(m, dtype=dtype)
+    free = {s: n for s, n in zip(shape or (), m.shape) if s < 0}
+    if shape is not None and (m.size == 0 or m.shape != tuple(free.get(s, s) for s in shape)):
+        text = ", ".join("nm"[~s] if s < 0 else str(s) for s in shape)
+        raise ValueError(f"{name} must have shape ({text}), got {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} entries must be finite")
     return m
@@ -48,14 +56,14 @@ def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff the max-abs entry of (m^dag m - 1) is at most tol."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    m = _finite(m)
+    m = _finite(m, "m", (N, N))
     defect = dag(m) @ m - np.eye(m.shape[0], dtype=complex)
     return float(np.max(np.abs(defect))) <= tol
 
 
 def populations(state: np.ndarray) -> np.ndarray:
     """|amplitude_i|^2 per component; sums to the squared norm."""
-    s = _finite(state, name="state")
+    s = _finite(state, "state")
     return (s.real * s.real + s.imag * s.imag).astype(float)
 
 
@@ -73,10 +81,7 @@ def svd2(m: np.ndarray) -> Svd2:
     LAPACK rescales a matrix whose entries lie near either end of the float
     range, so the result holds at any magnitude.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-    _finite(m)
+    m = _finite(m, "m", (2, 2))
     left, sigma, right_dag = np.linalg.svd(m)
     return Svd2(float(sigma[0]), float(sigma[1]), left, dag(right_dag))
 
@@ -87,10 +92,8 @@ def dist_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
     z is taken from trace(b^dag a); when that vanishes, from the entry pair
     with the largest |a_ij . b_ij| (symmetric in the arguments either way).
     """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _finite(a), _finite(b)
+    a = _finite(a, "a", (N, N))
+    b = _finite(b, "b", a.shape)
     overlap = np.trace(dag(b) @ a)
     if abs(overlap) <= 1e-14:
         products = np.abs(a) * np.abs(b)
@@ -107,10 +110,10 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     Deliberately series-based so it shares no code path with the closed
     forms it is used to cross-check.
     """
-    m = _finite(m)
-    scale = float(np.max(np.abs(m), initial=0.0))
-    if m.ndim != 2 or m.size == 0 or scale > 2.0**1022:
-        raise ValueError("m must be a nonempty matrix, its entries at most 2**1022 in modulus")
+    m = _finite(m, "m", (N, N))
+    scale = float(np.max(np.abs(m)))
+    if scale > 2.0**1022:
+        raise ValueError("m entries must be at most 2**1022 in modulus")
     n = m.shape[0]
     squarings = 0
     if scale > 0.5:
@@ -124,4 +127,4 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(squarings):
             acc = acc @ acc
-    return _finite(acc, name="the exponential's")
+    return _finite(acc, "the exponential's")

@@ -99,7 +99,7 @@ def pt_symmetry_check(m: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff sigma_x . conj(m) . sigma_x == m within tol."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    m = _finite(m)
+    m = _finite(m, "m", (2, 2))
     transformed = SIGMA_X @ m.conj() @ SIGMA_X
     return float(np.max(np.abs(transformed - m))) <= tol
 
@@ -279,9 +279,7 @@ def postselected_population(p: PTParams) -> float:
 
 def success_probability(p: PTParams, psi: np.ndarray) -> float:
     """<psi|V^dag V|psi> / sigma_plus^2 for a unit two-component psi."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("psi must be a 2-vector")
+    psi = _finite(psi, "psi", (2,))
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise ValueError("psi must be normalized")
     k = kernel(p)

@@ -174,6 +174,19 @@ def test_run_rejects_colliding_output_paths(tmp_path, capsys, monkeypatch, csv_n
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("key", ["output_csv", "output_pgm", "confusion_file"])
+def test_run_rejects_nul_in_paths(tmp_path, capsys, monkeypatch, key):
+    # a NUL once ran the whole sweep, then ended in a traceback at the write
+    def no_sweep(*args):
+        raise AssertionError("a NUL path reached the sweep")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    cfg = write_config(tmp_path, f"r_steps = 2\nt_steps = 2\n{key} = {tmp_path}/out\0.txt\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: line 3: a path may not hold a NUL byte\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_run_theory_applies_its_confusion_file(tmp_path, capsys):
     cm_file = tmp_path / "cal.txt"
     cm_file.write_text("0.9 0.05 0.02 0.06 0.9 0.08 0.04 0.05 0.9\n")
@@ -741,6 +754,9 @@ FUZZ_VALUES = {
     "seed": ("0", "3", str(2**64 - 1), "-1", str(2**64), "2.5", "0x10"),
     "ions": ("1", "3", str(2**64), "0", "-1", "2.5"),
     **dict.fromkeys(("r_min", "r_max", "t_min", "t_max"), FUZZ_FLOATS),
+    # a path holding a NUL is refused; the run's own output paths come first
+    # in the config, so a drawn one would win
+    **dict.fromkeys(("output_csv", "output_pgm", "confusion_file"), ("out\0.csv",)),
 }
 FUZZ_CONFUSION = {
     "identity": b"1 0 0\n0 1 0\n0 0 1\n",
@@ -776,8 +792,8 @@ def test_run_fuzzed_configs(tmp_path, lines, junk, junk_at, confusion, undecodab
         path.write_bytes(data)
     if junk is not None:
         lines.insert(junk_at, junk)
-    text = "r_steps = 2\nt_steps = 3\n" + "".join(f"{line}\n" for line in lines)
-    text += f"output_csv = {tmp_path / 'out.csv'}\noutput_pgm = {tmp_path / 'out.pgm'}\n"
+    text = f"r_steps = 2\nt_steps = 3\noutput_csv = {tmp_path / 'out.csv'}\noutput_pgm = {tmp_path / 'out.pgm'}\n"
+    text += "".join(f"{line}\n" for line in lines)
     if confusion is not None:
         text += f"confusion_file = {tmp_path / confusion}\n"
     cfg = tmp_path / "run.cfg"

@@ -1,8 +1,8 @@
 """One contract for every public name of ptqsim: given an input outside its
 domain (NaN, an infinity, an empty or wrong-shape array, a float where an
 integer goes, 2**64), a call returns a finite result or raises a ValueError
-subclass, and it never warns. An argument holding a NaN has no answer, so
-it must raise. The model, dilation and experiment names also run on every
+subclass, and it never warns. An argument holding a NaN has no answer, nor
+has an array of a shape the function does not take, so both must raise. The model, dilation and experiment names also run on every
 (r, t) pair of EDGES, where populations must lie in [0, 1] and sum to 1
 within 4 ulp."""
 
@@ -86,6 +86,8 @@ BAD_MATRICES = (
     np.zeros((0, 0)),
     np.eye(3)[:2],
     np.ones(2),
+    np.ones((2, 3)),
+    np.ones((2, 2, 2)),
 )
 BACKENDS = [default_backend(kind, seed=5) for kind in BackendKind]
 TRUE_STATE = [0.6, 0.8j]
@@ -120,9 +122,23 @@ def numbers(value) -> np.ndarray:
     return np.concatenate([a.real.ravel(), a.imag.ravel()])
 
 
-def over(call, values):
-    """(call of value, whether value holds a NaN) per value."""
-    return tuple((lambda v=v: call(v), bool(np.isnan(numbers(v)).any())) for v in values)
+def over(call, values, takes=None):
+    """(call of value, whether the call must raise) per value. It must for a
+    value holding a NaN, and for an array whose shape `takes` refuses:
+    neither has an answer."""
+
+    def must_raise(v):
+        return bool(np.isnan(numbers(v)).any()) or (takes is not None and not takes(np.shape(v)))
+
+    return tuple((lambda v=v: call(v), must_raise(v)) for v in values)
+
+
+def square(shape):
+    return len(shape) == 2 and shape[0] == shape[1] > 0
+
+
+def fixed(*want):
+    return lambda shape: shape == want
 
 
 def over_pairs(call):
@@ -145,20 +161,20 @@ ROWS = {
     ),
     # linalg
     "dist_up_to_global_phase": (
-        *over(lambda m: dist_up_to_global_phase(m, m), BAD_MATRICES),
-        *over(lambda m: dist_up_to_global_phase(np.eye(2), m), BAD_MATRICES),
+        *over(lambda m: dist_up_to_global_phase(m, m), BAD_MATRICES, square),
+        *over(lambda m: dist_up_to_global_phase(np.eye(2), m), BAD_MATRICES, fixed(2, 2)),
     ),
     "expm_taylor": (
-        *over(expm_taylor, BAD_MATRICES),
+        *over(expm_taylor, BAD_MATRICES, square),
         *over(lambda x: expm_taylor([[x]]), (BIG, -BIG, 1e300, MAX, 1j * MAX)),
     ),
     "is_unitary": (
-        *over(is_unitary, BAD_MATRICES),
+        *over(is_unitary, BAD_MATRICES, square),
         *over(lambda tol: is_unitary(np.eye(2), tol), (*BAD_REALS, 0.0)),
     ),
     "ket": over(lambda args: ket(*args), ((1.5,), (NAN,), (INF,), (BIG,), (0, 2.5), (0, BIG), (-1,))),
     "populations": over(populations, ([NAN, 0.0], [INF, 0.0], [1.0, -INF * 1j], [], [[1.0, 0.0]])),
-    "svd2": over(svd2, BAD_MATRICES),
+    "svd2": over(svd2, BAD_MATRICES, fixed(2, 2)),
     # model
     "PTParams": over(lambda rt: PTParams(*rt), ((NAN, 1.0), (INF, 1.0), (1.0, -INF), (BIG, BIG))),
     "angles": over_pairs(angles),
@@ -168,7 +184,7 @@ ROWS = {
     "kernel": over_pairs(lambda p: (kernel(p), kernel(p).c, kernel(p).s, kernel(p).a)),
     "postselected_population": over_pairs(postselected_population),
     "pt_symmetry_check": (
-        *over(pt_symmetry_check, BAD_MATRICES),
+        *over(pt_symmetry_check, BAD_MATRICES, fixed(2, 2)),
         *over(lambda tol: pt_symmetry_check(hamiltonian(0.5), tol), (*BAD_REALS, 0.0)),
     ),
     "qutrit_populations": over_pairs(qutrit_populations),
@@ -182,19 +198,20 @@ ROWS = {
         *over(
             lambda psi: success_probability(PTParams(0.5, 1.0), psi),
             ([NAN, 0.0], [INF, 0.0], [1.0, -INF * 1j], [], [1.0, 0.0, 0.0], [BIG, 0.0]),
+            fixed(2),
         ),
         *over_pairs(lambda p: success_probability(p, TRUE_STATE)),
     ),
     # dilation
     "embed_check": (
-        *over(lambda u: embed_check(u, np.eye(2), 1.0), BAD_MATRICES),
-        *over(lambda v: embed_check(np.eye(3), v, 1.0), BAD_MATRICES),
+        *over(lambda u: embed_check(u, np.eye(2), 1.0), BAD_MATRICES, square),
+        *over(lambda v: embed_check(np.eye(3), v, 1.0), BAD_MATRICES, square),
         *over(lambda lam: embed_check(np.eye(3), np.eye(2), lam), (*BAD_REALS, 0.0, BIG)),
         *over(lambda tol: embed_check(np.eye(3), np.eye(2), 1.0, tol), (*BAD_REALS, 0.0)),
         *over_pairs(lambda p: embed_check(qutrit_unitary(p), evolution(p), singular_values(p).sigma_plus)),
     ),
     "general_dilation": (
-        *over(lambda a: general_dilation(a, 1), BAD_MATRICES),
+        *over(lambda a: general_dilation(a, 1), BAD_MATRICES, square),
         *over(lambda m: general_dilation(0.5 * np.eye(2), m), (1.5, 2.0, NAN, INF, BIG, -1)),
         *over_pairs(lambda p: general_dilation(rescaled_evolution(p, singular_values(p).sigma_plus), 1)),
     ),
@@ -210,7 +227,9 @@ ROWS = {
     ),
     "qutrit_circuit": over_pairs(qutrit_circuit),
     "qutrit_unitary": over_pairs(qutrit_unitary),
-    "rescale_to_contraction": over(rescale_to_contraction, BAD_MATRICES),
+    "rescale_to_contraction": over(
+        rescale_to_contraction, BAD_MATRICES, lambda shape: len(shape) == 2 and min(shape) > 0
+    ),
     # gates
     "Gate": over(lambda args: Gate(*args), BAD_GATES),
     "GateKind": over(GateKind, ("RY", "", NAN)),
@@ -245,12 +264,14 @@ ROWS = {
             *({"ion_count": v} for v in (NAN, 2.5, 0)),
             *({"epsilon": (v,)} for v in (*BAD_REALS, BIG)),
             *({"exact": v} for v in ("no", 1, 0.0, NAN, None)),
+            *({"kind": v} for v in ("ion", "theory", NAN, None)),
         ),
     ),
     "BackendKind": over(BackendKind, ("qubit", NAN)),
     "ConfusionMatrix": over(
         ConfusionMatrix,
         (np.full((3, 3), NAN), np.diag([1.0, INF, 1.0]), np.zeros((0, 0)), np.eye(2), np.full((3, 3), BIG)),
+        fixed(3, 3),
     ),
     "SweepGrid": over(
         lambda kwargs: SweepGrid(**kwargs),
@@ -261,7 +282,10 @@ ROWS = {
     ),
     "default_backend": over(
         lambda args: default_backend(*args),
-        [(kind, seed) for kind in BackendKind for seed in (NAN, 2.5, BIG, -1)],
+        [
+            *((kind, seed) for kind in BackendKind for seed in (NAN, 2.5, BIG, -1)),
+            *((kind, 0) for kind in ("ion", "theory", None)),
+        ],
     ),
     "estimate_confusion": over(lambda n: estimate_confusion(BACKENDS[1], n), (NAN, INF, 2.5, BIG, 0)),
     "exact_probabilities": (

@@ -259,3 +259,9 @@ def test_shift_equivalence_examples():
     with pytest.raises(DilationError, match="underflows") as excinfo:
         hamiltonian_shift_equivalence(PTParams(1.5, 1000.0), 2.0)
     assert not isinstance(excinfo.value, ShiftTooSmall)
+    # a representable evolution whose rotation the series loses to roundoff
+    # was once reported as an underflow
+    for p, mu in ((PTParams(0.0, 1e200), 0.0), (PTParams(2.0, 1e200), math.sqrt(3.0))):
+        with pytest.raises(ValueError, match="beyond what the 30-term series resolves") as excinfo:
+            hamiltonian_shift_equivalence(p, mu)
+        assert not isinstance(excinfo.value, DilationError)

@@ -156,6 +156,15 @@ def test_exact_must_be_a_bool():
     assert exact == return_probability(PTParams(0.5, 1.0))
 
 
+def test_kind_must_be_a_backend_kind():
+    # a string kind was once stored, and its sweep ran as theory
+    for value in ("ion", "theory", None, 1):
+        with pytest.raises(ValueError, match="kind must be a BackendKind"):
+            BackendConfig(kind=value)
+        with pytest.raises(ValueError, match="kind must be a BackendKind"):
+            default_backend(value)
+
+
 def test_default_backends():
     ion = default_backend(BackendKind.ION, seed=3)
     assert ion.shots == 512
