@@ -63,7 +63,6 @@ from .linalg import (
     dist_up_to_global_phase,
     expm_taylor,
     is_unitary,
-    ket,
     populations,
     svd2,
 )

@@ -279,9 +279,11 @@ def write_outputs(cfg: RunConfig, backend: BackendConfig, points: SweepResult) -
     }
     stale_mask = None
     if cfg.output_pgm is not None:
+        # a label may be any file name: escaped, the PGM stays ASCII
+        label = backend.confusion.label.encode("ascii", "backslashreplace").decode("ascii")
         metadata = (
             f"backend={backend.kind.value} observable={cfg.observable.value}"
-            f" confusion={backend.confusion.label} shots={backend.shots}"
+            f" confusion={label} shots={backend.shots}"
             f" seed={backend.seed} rows=r_max..r_min cols=t_min..t_max"
         )
         pixels, missing = render_heatmap(cfg.grid, backend, cfg.observable, points)

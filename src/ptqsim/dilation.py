@@ -67,9 +67,11 @@ def embed_check(u: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-10) ->
     if not (tol > 0 and lam > 0):
         raise ValueError("tol and lam must be positive")
     u, v = _finite(u, "u", (N, N)), _finite(v, "v", (N, N))
+    n = v.shape[0]
+    if n > u.shape[0]:
+        raise ValueError(f"v of shape {v.shape} is larger than u of shape {u.shape}")
     if not is_unitary(u, tol):
         return False
-    n = v.shape[0]
     return float(np.max(np.abs(u[:n, :n] - v / lam))) <= tol
 
 
@@ -140,14 +142,15 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
             f"log(exp(-mu t).sigma_max) = {log_norm:.6g} exceeds 0; "
             "the shifted evolution is not a contraction"
         )
-    # the damped generator's entries are at most (r + |mu|).t in modulus
+    # the damped generator's entries are t and at most (r + |mu|).t in modulus
     if not (p.r + abs(mu)) * p.t < math.inf:
         raise ValueError("(r + |mu|).t must be finite")
     shifted = hamiltonian(p.r) - 1j * mu * np.eye(2, dtype=complex)
     w = expm_taylor(-1j * shifted * p.t)
-    num = abs(w[0, 0]) ** 2
-    total = num + abs(w[1, 0]) ** 2
-    if total == 0.0:
+    # square the column over its largest modulus: |w|^2 may underflow where |w| does not
+    column = np.abs(w[:, 0])
+    largest = float(column.max())
+    if largest == 0.0:
         # exp(-mu t).sigma_plus is representable, so the squarings lost the
         # rotation to roundoff; the generator's row sums are at most 1 + r + |mu|
         if log_norm > math.log(math.ulp(0.0)):
@@ -159,4 +162,5 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
             "the series-summed damped evolution underflows to 0 "
             f"at mu.t = {mu * p.t:.6g}"
         )
-    return abs(num / total - _postselected(p.r, k))
+    num, other = (column / largest) ** 2
+    return abs(num / (num + other) - _postselected(p.r, k))

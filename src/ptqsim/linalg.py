@@ -7,11 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-I2 = np.eye(2, dtype=complex)
-I3 = np.eye(3, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _integer(name: str, value) -> int:
@@ -35,16 +31,6 @@ def _finite(m, name: str, shape: tuple[int, ...] | None = None, dtype=complex) -
     if not np.isfinite(m).all():
         raise ValueError(f"{name} entries must be finite")
     return m
-
-
-def ket(index: int, dim: int = 3) -> np.ndarray:
-    """Basis column vector |index> in the given dimension."""
-    index, dim = _integer("index", index), _integer("dim", dim)
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} outside dimension {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def dag(m: np.ndarray) -> np.ndarray:

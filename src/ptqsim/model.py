@@ -201,18 +201,20 @@ def angles(p: PTParams) -> Angles:
     return _angles(p.r, kernel(p))
 
 
-def _populations(r: float, k: Kernel) -> tuple[float, float, float]:
-    # n0, n1 = |V00|^2, |V10|^2 and n2 = sigma_plus^2 - n0 - n1 = 2|rs|.d,
-    # with d = a - sign(rs).c taken from a^2 - c^2 = s^2 so it never cancels.
-    # Dividing by the rounded n0 + n1 + n2 rather than by sigma_plus^2 keeps
-    # the three within 2 ulp of unit mass instead of 5.
-    rs = r * k.gs
-    if k.gc * rs < 0.0:
-        d = k.ga + abs(k.gc)
-    else:
-        d = k.gs * k.gs / (k.ga + abs(k.gc))
-    v00 = k.gc + rs
-    n0, n1, n2 = v00 * v00, k.gs * k.gs, 2.0 * abs(rs) * d
+def _weights(r, gc, gs, ga) -> tuple:
+    """g^2 (|V00|^2, |V10|^2, 2|rs|.d) over floats or (N,) arrays: the leak
+    into level 2 is sigma_plus^2 less the other two, with d = a - sign(rs).c
+    from a^2 - c^2 = s^2 so it never cancels ([()] unwraps a 0-d result)."""
+    rs = r * gs
+    den = ga + abs(gc)
+    d = np.where(gc * rs < 0.0, den, gs * gs / den)[()]
+    v00 = gc + rs
+    return v00 * v00, gs * gs, 2.0 * abs(rs) * d
+
+
+def _populations(r, gc, gs, ga) -> tuple:
+    # over the rounded sum, not sigma_plus^2: within 2 ulp of unit mass, not 5
+    n0, n1, n2 = _weights(r, gc, gs, ga)
     total = n0 + n1 + n2
     return n0 / total, n1 / total, n2 / total
 
@@ -221,7 +223,8 @@ def qutrit_populations(p: PTParams) -> np.ndarray:
     """(p0, p1, p2) of the embedded qutrit evolution of |0>: |V00|^2 and
     |V10|^2 over sigma_plus^2, and the rest, which leaks into level 2. Each
     lies in [0, 1] and they sum to 1 within 2 ulp."""
-    return np.array(_populations(p.r, kernel(p)))
+    k = kernel(p)
+    return np.array(_populations(p.r, k.gc, k.gs, k.ga))
 
 
 def _libm(f, x: np.ndarray) -> np.ndarray:
@@ -232,8 +235,8 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
 
 def qutrit_populations_array(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(N, 3) `qutrit_populations` over (N,) arrays of valid r and t, bit for
-    bit: each branch of `kernel` runs on the points it applies to, with the
-    scalar formulas in numpy and the transcendentals from libm."""
+    bit: each branch of `kernel` runs on the points it applies to, in numpy
+    with the transcendentals from libm, and `_weights` is shared."""
     g, gc, gs = np.ones(len(r)), np.empty(len(r)), np.empty(len(r))
     below, above = r < 1.0, r > 1.0
     at = ~(below | above)  # r = 1
@@ -253,23 +256,17 @@ def qutrit_populations_array(r: np.ndarray, t: np.ndarray) -> np.ndarray:
         gc[at], gs[at] = g[at], t[at] * g[at]
         rs = r * gs
         ga = np.sqrt(g * g + rs * rs)
-    # `_populations`, both choices of d evaluated and one kept
-    den = ga + np.abs(gc)
-    d = np.where(gc * rs < 0.0, den, gs * gs / den)
-    v00 = gc + rs
-    n = np.stack([v00 * v00, gs * gs, 2.0 * np.abs(rs) * d], axis=1)
-    return n / (n[:, 0] + n[:, 1] + n[:, 2])[:, None]
+    return np.stack(_populations(r, gc, gs, ga), axis=1)
 
 
 def return_probability(p: PTParams) -> float:
     """|<0|U(t)|0>|^2 where the upper block of U is V/sigma_plus."""
-    return _populations(p.r, kernel(p))[0]
+    return float(qutrit_populations(p)[0])
 
 
 def _postselected(r: float, k: Kernel) -> float:
-    v00 = k.gc + r * k.gs
-    num = v00 * v00
-    return num / (num + k.gs * k.gs)
+    n0, n1, _ = _weights(r, k.gc, k.gs, k.ga)
+    return float(n0 / (n0 + n1))
 
 
 def postselected_population(p: PTParams) -> float:

@@ -1,4 +1,5 @@
-"""Shared oracles and hypothesis strategies for the test suite.
+"""Shared oracles, hypothesis strategies, basis vectors and Pauli matrices
+for the test suite.
 
 The oracles here deliberately avoid the library's own code paths:
 matrix exponentials come from scipy, singular values from dense
@@ -17,6 +18,18 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 from ptqsim.model import PTParams
+
+I2 = np.eye(2, dtype=complex)
+I3 = np.eye(3, dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def ket(index: int, dim: int = 3) -> np.ndarray:
+    """Basis column vector |index> in the given dimension."""
+    v = np.zeros(dim, dtype=complex)
+    v[index] = 1.0
+    return v
 
 
 def series_evolution(r: float, t: float) -> np.ndarray:

@@ -212,6 +212,23 @@ def test_run_theory_applies_its_confusion_file(tmp_path, capsys):
     assert any(pt.p_exact[0] != qutrit_populations(PTParams(pt.r, pt.t))[0] for pt in points)
 
 
+def test_run_escapes_a_non_ascii_confusion_label_in_the_pgm(tmp_path, capsys):
+    # the PGM comment stays ASCII; stdout shows the file name as it is
+    cm_file = tmp_path / "cal_\u00e9\u20ac.txt"
+    cm_file.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    pgm_path = tmp_path / "out.pgm"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"r_steps = 2\nt_steps = 2\nconfusion_file = {cm_file}\n"
+        f"output_csv = {tmp_path / 'out.csv'}\noutput_pgm = {pgm_path}\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    assert " confusion=cal_\u00e9\u20ac.txt " in capsys.readouterr().out
+    comment = pgm_path.read_bytes().decode("ascii").splitlines()[1]
+    assert " confusion=cal_\\xe9\\u20ac.txt " in comment
+
+
 def test_readme_config_table_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### `ptqsim run`")[1].split("\n### ")[0]
@@ -764,6 +781,7 @@ FUZZ_CONFUSION = {
     "short": b"1 0 0\n",
     "negative": b"1.1 0 0\n-0.1 1 0\n0 0 1\n",
     "undecodable": b"\xff\xfe 1 0 0\n",
+    "cal_\u00e9.txt": b"1 0 0\n0 1 0\n0 0 1\n",
 }
 fuzz_config_lines = st.lists(
     st.sampled_from(sorted(FUZZ_VALUES)).flatmap(

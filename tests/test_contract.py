@@ -44,7 +44,6 @@ from ptqsim import (
     identity_confusion,
     is_unitary,
     kernel,
-    ket,
     load_confusion,
     miscalibrate,
     parse_circuit,
@@ -172,7 +171,6 @@ ROWS = {
         *over(is_unitary, BAD_MATRICES, square),
         *over(lambda tol: is_unitary(np.eye(2), tol), (*BAD_REALS, 0.0)),
     ),
-    "ket": over(lambda args: ket(*args), ((1.5,), (NAN,), (INF,), (BIG,), (0, 2.5), (0, BIG), (-1,))),
     "populations": over(populations, ([NAN, 0.0], [INF, 0.0], [1.0, -INF * 1j], [], [[1.0, 0.0]])),
     "svd2": over(svd2, BAD_MATRICES, fixed(2, 2)),
     # model
@@ -206,6 +204,9 @@ ROWS = {
     "embed_check": (
         *over(lambda u: embed_check(u, np.eye(2), 1.0), BAD_MATRICES, square),
         *over(lambda v: embed_check(np.eye(3), v, 1.0), BAD_MATRICES, square),
+        # a v larger than u has no top-left block to compare with
+        *over(lambda u: embed_check(u, np.eye(3), 1.0), (np.eye(2), 2 * np.eye(2), np.eye(3), np.eye(4)),
+              lambda shape: shape[0] >= 3),
         *over(lambda lam: embed_check(np.eye(3), np.eye(2), lam), (*BAD_REALS, 0.0, BIG)),
         *over(lambda tol: embed_check(np.eye(3), np.eye(2), 1.0, tol), (*BAD_REALS, 0.0)),
         *over_pairs(lambda p: embed_check(qutrit_unitary(p), evolution(p), singular_values(p).sigma_plus)),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import series_evolution
+from conftest import I2, I3, series_evolution
 from ptqsim.cli import _haar_unitary
 from ptqsim.dilation import (
     Dilation,
@@ -23,7 +23,7 @@ from ptqsim.dilation import (
     rescale_to_contraction,
 )
 from ptqsim.gates import GateKind, gate_matrix, rx
-from ptqsim.linalg import I2, I3, SIGMA_X, dag, is_unitary
+from ptqsim.linalg import SIGMA_X, dag, is_unitary
 from ptqsim.model import (
     PTParams,
     evolution,
@@ -85,6 +85,10 @@ def test_embed_check_examples():
         embed_check(I3, I2, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         embed_check(I3, I2, 0.0)
+    # a v larger than u is refused before u is tested for unitarity
+    for u in (I2, 2.0 * I2):
+        with pytest.raises(ValueError, match=r"v of shape \(3, 3\) is larger than u of shape \(2, 2\)"):
+            embed_check(u, I3, 1.0)
 
 
 def test_embed_check_random_points():
@@ -259,6 +263,9 @@ def test_shift_equivalence_examples():
     with pytest.raises(DilationError, match="underflows") as excinfo:
         hamiltonian_shift_equivalence(PTParams(1.5, 1000.0), 2.0)
     assert not isinstance(excinfo.value, ShiftTooSmall)
+    # |w| near e^-700 and e^-400 is representable where |w|^2 underflows
+    assert hamiltonian_shift_equivalence(PTParams(0.0, 100.0), 7.0) < 1e-10
+    assert hamiltonian_shift_equivalence(PTParams(0.0, 1.0), 400.0) < 1e-10
     # a representable evolution whose rotation the series loses to roundoff
     # was once reported as an underflow
     for p, mu in ((PTParams(0.0, 1e200), 0.0), (PTParams(2.0, 1e200), math.sqrt(3.0))):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import I3, ket
 from ptqsim.dilation import qutrit_circuit
 from ptqsim.gates import (
     ION,
@@ -31,7 +32,7 @@ from ptqsim.gates import (
     transpile_ion,
     transpile_transmon,
 )
-from ptqsim.linalg import I3, is_unitary, ket, populations
+from ptqsim.linalg import is_unitary, populations
 from ptqsim.model import PTParams
 
 HALF_PI = math.pi / 2.0
@@ -228,6 +229,33 @@ def test_transpile_transmon_signs_match_brute_force(src):
     assert signs == want
     assert stats(out).physical_count == 2 * len(src) + (4 if residual > 1e-12 else 0)
     assert equivalent(out, src, 1e-10)
+
+
+def test_transpile_transmon_greedy_signs_above_14_rotations():
+    # past 14 (0,1) rotations the signs come from the greedy pass, not a search
+    rng = np.random.default_rng(29)
+    special = (math.pi, -math.pi, 2.0 * math.pi, 1e17, -1e17)
+    cases = []
+    for n01 in range(15, 21):
+        angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n01)
+        angles[rng.choice(n01, 3, replace=False)] = rng.choice(special, 3)
+        gates = [rx(0, 1, float(a)) for a in angles]
+        gates += [rx(1, 2, float(a)) for a in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n01 % 3 + 1)]
+        cases.append(tuple(gates[k] for k in rng.permutation(len(gates))))
+    # 8 pairs of equal angles cancel exactly: no phase block
+    pairs = [rx(0, 1, a) for a in (0.3, 1.1, -2.5, 4.0, math.pi, 2.0 * math.pi, 1e17, -0.7) for _ in range(2)]
+    cases.append((*pairs[:5], rx(1, 2, 0.9), *pairs[5:]))
+    for src in cases:
+        out = transpile_transmon(src)
+        assert all(TRANSMON.admits(g) for g in out)
+        assert equivalent(out, src, 1e-10)
+        n01 = sum(g.subspace == (0, 1) for g in src)
+        assert n01 >= 15
+        # 8 gates per (0,1) expansion, 9 per (1,2) expansion, 7 in a phase block
+        block = len(out) - 8 * n01 - 9 * (len(src) - n01)
+        assert block in (0, 7)
+        assert stats(out).physical_count == 2 * len(src) + (4 if block else 0)
+    assert stats(transpile_transmon(cases[-1])).physical_count == 34
 
 
 def test_transpile_transmon_rejects_foreign_gates():

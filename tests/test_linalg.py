@@ -10,38 +10,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    I2,
+    I3,
+    SIGMA_Y,
+    SIGMA_Z,
     brute_singular_values,
     complex_matrices,
     finite_floats,
+    ket,
     series_evolution,
 )
 from ptqsim.linalg import (
-    I2,
-    I3,
     SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     dag,
     dist_up_to_global_phase,
     expm_taylor,
     is_unitary,
-    ket,
     populations,
     svd2,
 )
 
 # e^{-iHt} at the r=1, t=1 crossover: c=1, s=1, so V = [[2, -i], [-i, 0]]
 V_EP = np.array([[2.0, -1.0j], [-1.0j, 0.0]], dtype=complex)
-
-
-def test_ket_basis_vectors():
-    assert np.array_equal(ket(0), np.array([1, 0, 0], dtype=complex))
-    assert np.array_equal(ket(2), np.array([0, 0, 1], dtype=complex))
-    assert ket(1, dim=2).shape == (2,)
-    with pytest.raises(ValueError):
-        ket(3)
-    with pytest.raises(ValueError):
-        ket(-1, dim=2)
 
 
 def test_is_unitary_examples():

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    I2,
+    SIGMA_Z,
     finite_floats,
     mp_evolution,
     mp_observables,
@@ -20,7 +22,7 @@ from conftest import (
     series_evolution,
 )
 from ptqsim import dilation, model
-from ptqsim.linalg import I2, SIGMA_X, SIGMA_Z, expm_taylor, populations, svd2
+from ptqsim.linalg import SIGMA_X, expm_taylor, populations, svd2
 from ptqsim.model import (
     Angles,
     LambdaTooSmall,
