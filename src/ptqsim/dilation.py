@@ -72,7 +72,12 @@ def embed_check(u: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-10) ->
         raise ValueError(f"v of shape {v.shape} is larger than u of shape {u.shape}")
     if not is_unitary(u, tol):
         return False
-    return float(np.max(np.abs(u[:n, :n] - v / lam))) <= tol
+    # numpy divides a complex by lam through 1 / lam, which overflows for a
+    # subnormal lam; the parts are divided apart, and only a part past the
+    # float range reads inf
+    with np.errstate(over="ignore"):
+        gap = np.hypot(u[:n, :n].real - v.real / lam, u[:n, :n].imag - v.imag / lam)
+    return float(np.max(gap)) <= tol
 
 
 def rescale_to_contraction(a: np.ndarray) -> tuple[np.ndarray, float]:

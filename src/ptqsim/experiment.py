@@ -290,7 +290,10 @@ def _draw(probs: np.ndarray, shots: int, words: list) -> np.ndarray:
     """A multinomial draw per probability row from one Philox. Before row i
     it is reset to the state `Philox(SeedSequence(id_i))` starts in: key
     `generate_state(2, np.uint64)` of id_i's entropy words, counter 0 and
-    an empty buffer. So each row draws its id's stream."""
+    an empty buffer. So each row draws its id's stream. The state is one
+    dict of plain ints, built once and re-keyed in place: the setter reads
+    ten entries per row, and from a numpy array each read builds a numpy
+    scalar."""
     shots = _check_shots("shots", shots)
     keys = np.array(_generate(words, 2), dtype=np.uint64).T.reshape(-1, 2)
     # written so that NaN fails both checks; a row of opposite infinities
@@ -306,12 +309,15 @@ def _draw(probs: np.ndarray, shots: int, words: list) -> np.ndarray:
     clean = np.clip(probs, 0.0, None)
     clean /= clean.sum(axis=1, keepdims=True)
     rng = np.random.Generator(np.random.Philox(0))
-    fresh = rng.bit_generator.state  # counter 0, buffer_pos 4, has_uint32 0, uinteger 0
+    bits, multinomial = rng.bit_generator, rng.multinomial
+    key = [0, 0]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = np.empty(probs.shape, dtype=np.int64)
-    for i, key in enumerate(keys):
-        fresh["state"]["key"] = key
-        rng.bit_generator.state = fresh
-        counts[i] = rng.multinomial(shots, clean[i])
+    for i, (row_key, row) in enumerate(zip(keys.tolist(), clean)):
+        key[:] = row_key
+        bits.state = fresh
+        counts[i] = multinomial(shots, row)
     return counts
 
 
@@ -321,9 +327,16 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
 
 
 def postselect_ratios(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """first / (first + second) elementwise; NaN where the sum is 0."""
-    _finite(first, "postselect_ratios", dtype=float), _finite(second, "postselect_ratios", dtype=float)
-    kept = first + second
+    """first / (first + second) elementwise; NaN where the sum is 0. Where
+    the sum overflows, the ratio is that of the halves."""
+    # in floats: an int64 sum would wrap past 2**63 and a bool sum is a logical or
+    first, second = (_finite(x, "postselect_ratios", dtype=float) for x in (first, second))
+    with np.errstate(over="ignore"):
+        kept = first + second
+    over = np.isinf(kept)
+    if over.any():
+        # an overflowing sum needs both terms above 2**969, so halving is exact
+        first, kept = np.where(over, first / 2, first), np.where(over, first / 2 + second / 2, kept)
     return np.divide(first, kept, out=np.full(kept.shape, np.nan), where=kept > 0)
 
 

@@ -43,8 +43,11 @@ def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     if not tol > 0:
         raise ValueError("tol must be positive")
     m = _finite(m, "m", (N, N))
-    defect = dag(m) @ m - np.eye(m.shape[0], dtype=complex)
-    return float(np.max(np.abs(defect))) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(dag(m) @ m - np.eye(m.shape[0], dtype=complex))
+    # a NaN there is inf * 0 or inf - inf from a product past the float
+    # range, so the true defect is past it too
+    return float(np.max(np.nan_to_num(defect, nan=np.inf))) <= tol
 
 
 def populations(state: np.ndarray) -> np.ndarray:

@@ -170,6 +170,9 @@ ROWS = {
     "is_unitary": (
         *over(is_unitary, BAD_MATRICES, square),
         *over(lambda tol: is_unitary(np.eye(2), tol), (*BAD_REALS, 0.0)),
+        # m^dag m past the float range
+        *over(is_unitary, (1e300 * np.eye(3), np.full((3, 3), MAX * (1 + 1j)))),
+        *calls(lambda: is_unitary(1e300 * np.eye(3), INF)),
     ),
     "populations": over(populations, ([NAN, 0.0], [INF, 0.0], [1.0, -INF * 1j], [], [[1.0, 0.0]])),
     "svd2": over(svd2, BAD_MATRICES, fixed(2, 2)),
@@ -209,6 +212,13 @@ ROWS = {
               lambda shape: shape[0] >= 3),
         *over(lambda lam: embed_check(np.eye(3), np.eye(2), lam), (*BAD_REALS, 0.0, BIG)),
         *over(lambda tol: embed_check(np.eye(3), np.eye(2), 1.0, tol), (*BAD_REALS, 0.0)),
+        # u^dag u or v / lam past the float range
+        *calls(
+            lambda: embed_check(1e200 * np.eye(3), np.eye(2), 1.0),
+            lambda: embed_check(np.eye(3), np.eye(2), 5e-324),
+            lambda: embed_check(np.eye(3), 1e300 * np.eye(2), 1e-300),
+            lambda: embed_check(np.eye(3), MAX * (1 + 1j) * np.eye(2), 5e-324, INF),
+        ),
         *over_pairs(lambda p: embed_check(qutrit_unitary(p), evolution(p), singular_values(p).sigma_plus)),
     ),
     "general_dilation": (
@@ -309,6 +319,13 @@ ROWS = {
             lambda: postselect_ratios(np.zeros(0), np.zeros(0)),
             lambda: postselect_ratios(np.ones(2), np.ones(3)),
             lambda: postselect_ratios(np.array([2.0**64]), np.array([2.0**64])),
+            # sums past the float range
+            lambda: postselect_ratios(np.array([1e308]), np.array([1e308])),
+            lambda: postselect_ratios(np.array([MAX, 1.0, MAX]), np.array([MAX, 1.0, 1e308])),
+            # an int64 sum past 2**63, bools and lists
+            lambda: postselect_ratios(np.array([6 * 10**18]), np.array([6 * 10**18])),
+            lambda: postselect_ratios(np.array([True]), np.array([True])),
+            lambda: postselect_ratios([1.0], [3.0]),
         ),
     ),
     "run_point": (

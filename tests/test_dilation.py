@@ -91,6 +91,18 @@ def test_embed_check_examples():
             embed_check(u, I3, 1.0)
 
 
+def test_embed_check_past_the_float_range():
+    # u^dag u or v / lam overflows: far from the block
+    assert not embed_check(1e200 * I3, I2, 1.0)
+    assert not embed_check(I3, I2, 5e-324)
+    assert not embed_check(I3, 1e300 * I2, 1e-300)
+    assert embed_check(I3, I2, 5e-324, tol=math.inf)
+    # a subnormal lam whose reciprocal overflows still divides exactly
+    assert embed_check(I3, 1e-310 * I2, 1e-310)
+    swap = np.block([[np.zeros((2, 2)), I2], [I2, np.zeros((2, 2))]])
+    assert embed_check(swap, np.zeros((2, 2)), 5e-324)
+
+
 def test_embed_check_random_points():
     rng = np.random.default_rng(53)
     for _ in range(300):

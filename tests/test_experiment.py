@@ -4,6 +4,7 @@ sampling, per-point experiments, grid sweeps, and calibration estimation."""
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -395,6 +396,44 @@ def test_sampler_state_does_not_leak_between_rows():
             assert np.array_equal(counts, numpy_counts(p, shots, i))
 
 
+def plain(state):
+    """A copy of a bit generator state in Python ints and lists."""
+    return {k: plain(v) if isinstance(v, dict) else np.asarray(v, dtype=object).tolist() for k, v in state.items()}
+
+
+def test_sampler_installs_the_state_a_seeded_philox_starts_in(monkeypatch):
+    # the sampler re-keys one state dict before each row; a numpy that adds a
+    # state field or starts Philox elsewhere must fail here, not in the counts
+    installed, base = [], np.random.Philox
+
+    class Philox(base):  # the state setter checks the class name
+        @property
+        def state(self):
+            return base.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            installed.append(plain(value))
+            base.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "Philox", Philox)
+    ids = list(EDGE_SEEDS) + [2**63, 12345]
+    experiment._draw(np.full((len(ids), 3), 1 / 3), 10, id_words(ids))
+    assert installed == [plain(base(np.random.SeedSequence(i)).state) for i in ids]
+
+
+def test_sampler_takes_key_words_at_or_above_2_63():
+    # plain ints at or above 2**63 must reach the setter as uint64 words
+    ids = [i for i in range(200) if min(np.random.SeedSequence(i).generate_state(2, np.uint64)) >= 2**63]
+    assert len(ids) >= 10
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet([1.0, 1.0, 1.0], len(ids))
+    for shots in SAMPLER_SHOTS:
+        got = experiment._draw(probs, shots, id_words(ids))
+        for counts, p, i in zip(got, probs, ids):
+            assert np.array_equal(counts, numpy_counts(p, shots, i))
+
+
 def test_sampler_checks_every_row():
     draw = experiment._draw
     good = [1.0, 0.0, 0.0]
@@ -436,6 +475,20 @@ def test_postselect_ratios():
     # counts (3, 1, 4) and (0, 0, 9): the second keeps no shot
     ratios = postselect_ratios(np.array([3, 0]), np.array([1, 0]))
     assert ratios[0] == 0.75 and math.isnan(ratios[1])
+
+
+def test_postselect_ratios_sums_in_floats():
+    big = sys.float_info.max
+    first, second = np.array([1e308, big, big, 3.0, -big, 0.0]), np.array([1e308, big, 1e308, 1.0, -big, 0.0])
+    ratios = postselect_ratios(first, second)
+    assert ratios[:2].tolist() == [0.5, 0.5]
+    assert math.isclose(ratios[2], Fraction(big) / (Fraction(big) + Fraction(1e308)), rel_tol=2**-52)
+    # the rows whose sum is a float are untouched
+    assert ratios[3] == 0.75 and math.isnan(ratios[4]) and math.isnan(ratios[5])
+    # summed as floats: int64 would wrap past 2**63, and bools would or
+    assert postselect_ratios(np.array([6 * 10**18]), np.array([6 * 10**18])).tolist() == [0.5]
+    assert postselect_ratios(np.array([True]), np.array([True])).tolist() == [0.5]
+    assert postselect_ratios([1.0], [3.0]).tolist() == [0.25]
 
 
 def float_round_counts(probs, shots):

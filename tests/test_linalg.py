@@ -44,6 +44,13 @@ def test_is_unitary_examples():
         is_unitary(I3, tol=0.0)
 
 
+def test_is_unitary_past_the_float_range():
+    # m^dag m overflows: far from the identity, but within an infinite tol
+    for m in (1e300 * I3, np.full((3, 3), np.finfo(float).max * (1 + 1j))):
+        assert not is_unitary(m)
+        assert is_unitary(m, math.inf)
+
+
 def test_populations_examples():
     assert np.allclose(populations(ket(0)), [1, 0, 0], atol=1e-15)
     plus = (ket(0) + ket(2)) / math.sqrt(2.0)
