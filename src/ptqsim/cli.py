@@ -4,6 +4,7 @@ circuit transpilation, and randomized dilation spot checks."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -336,7 +337,7 @@ def run_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def transpile_command(args: argparse.Namespace, transpilers: dict) -> int:
+def transpile_command(args: argparse.Namespace) -> int:
     try:
         data = Path(args.input).read_bytes()
     except OSError as exc:
@@ -344,7 +345,7 @@ def transpile_command(args: argparse.Namespace, transpilers: dict) -> int:
         return EXIT_IO
     try:
         circuit = parse_circuit(data.decode("utf-8"))
-        transpiled = transpilers[args.target](circuit)
+        transpiled = (transpile_ion if args.target == "ion" else transpile_transmon)(circuit)
     except (CircuitParseError, UnsupportedGate, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -412,7 +413,9 @@ def dilation_check_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first call; each handler looks up what it calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="ptqsim",
         description="Simulate a PT-symmetric two-level system embedded in a qutrit.",
@@ -432,13 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.set_defaults(handler=run_command)
 
-    # built per call, so a transpiler rebound on this module is the one run
-    transpilers = {"ion": transpile_ion, "transmon": transpile_transmon}
     p_tr = sub.add_parser("transpile", help="rewrite a circuit file into a native gate set")
-    p_tr.add_argument("--target", required=True, choices=transpilers)
+    p_tr.add_argument("--target", required=True, choices=("ion", "transmon"))
     p_tr.add_argument("input", help="circuit file to read")
     p_tr.add_argument("output", help="circuit file to write")
-    p_tr.set_defaults(handler=lambda args: transpile_command(args, transpilers))
+    p_tr.set_defaults(handler=transpile_command)
 
     p_dc = sub.add_parser("dilation-check", help="randomized unitary-completion checks")
     p_dc.add_argument("--n", type=int, default=2, help="contraction size")
@@ -446,8 +447,11 @@ def main(argv: list[str] | None = None) -> int:
     p_dc.add_argument("--trials", type=int, default=200)
     p_dc.add_argument("--seed", type=int, default=0)
     p_dc.set_defaults(handler=dilation_check_command)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.handler(args)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dilation import qutrit_circuit
 from .gates import Circuit, Gate, GateKind, circuit_unitary, transpile_ion
-from .linalg import _finite, _integer, populations
+from .linalg import _finite, _integer, _real, populations
 from .model import PTParams, qutrit_populations_array
 
 DEFAULT_ION_EPSILON = (0.02, -0.015, 0.01, -0.02, 0.005)
@@ -65,7 +65,7 @@ def identity_confusion() -> ConfusionMatrix:
 
 def synthetic_confusion(diagonal: float, label: str = "synthetic") -> ConfusionMatrix:
     """Uniform-error model: given diagonal, off-diagonal mass split evenly."""
-    if not 0.0 < diagonal <= 1.0:
+    if not 0.0 < _real("diagonal", diagonal) <= 1.0:
         raise ValueError("diagonal must be in (0, 1]")
     off = (1.0 - diagonal) / 2.0
     m = np.full((3, 3), off)
@@ -123,7 +123,7 @@ class BackendConfig:
         object.__setattr__(self, "ion_count", _integer("ion_count", self.ion_count))
         if self.ion_count < 1:
             raise ValueError("ion_count must be at least 1")
-        if not all(abs(e) < 0.5 for e in self.epsilon):
+        if not all(abs(_real("epsilon", e)) < 0.5 for e in self.epsilon):
             raise ValueError("per-ion over-rotation must satisfy |epsilon| < 0.5")
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if not isinstance(self.exact, (bool, np.bool_)):
@@ -147,7 +147,7 @@ def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
 def miscalibrate(c: Circuit, eps: float) -> Circuit:
     """Scale every pulse's rotation angle, its last, by (1 + eps); virtual
     phases and pulse-phase arguments are untouched."""
-    if not abs(eps) < 0.5:
+    if not abs(_real("eps", eps)) < 0.5:
         raise ValueError("|eps| must be below 0.5")
     return tuple(
         g if g.kind is GateKind.RZ
@@ -327,10 +327,14 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
 
 
 def postselect_ratios(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """first / (first + second) elementwise; NaN where the sum is 0. Where
-    the sum overflows, the ratio is that of the halves."""
+    """first / (first + second) elementwise over nonnegative counts or
+    weights, a negative entry refused; NaN where the sum is 0. Where the sum
+    overflows, the ratio is that of the halves."""
     # in floats: an int64 sum would wrap past 2**63 and a bool sum is a logical or
     first, second = (_finite(x, "postselect_ratios", dtype=float) for x in (first, second))
+    for name, x in (("first", first), ("second", second)):
+        if (x < 0.0).any():
+            raise ValueError(f"{name} entries must be nonnegative, got {x.min():.6g}")
     with np.errstate(over="ignore"):
         kept = first + second
     over = np.isinf(kept)
@@ -455,7 +459,7 @@ def run_point(
 ) -> ExperimentPoint:
     """One point of `sweep`: the grid indices in grid_key key its stream."""
     ion = _ion_column(backend, ion_index)
-    i_r, i_t = grid_key
+    i_r, i_t = (_integer("grid_key entry", k) for k in grid_key)
     if not (0 <= i_r <= _MASK32 and 0 <= i_t <= _MASK32):
         raise ValueError(f"grid_key entries must lie in 0..2**32 - 1, got {grid_key}")
     return _emulate(
@@ -479,10 +483,8 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         for name in ("r_min", "r_max", "t_min", "t_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
             # -0.0 passes every check below, and would print as "-0"
-            object.__setattr__(self, name, getattr(self, name) + 0.0)
+            object.__setattr__(self, name, _real(name, getattr(self, name)) + 0.0)
         for name in ("r_steps", "t_steps"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.r_steps < 1 or self.t_steps < 1:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import dist_up_to_global_phase
+from .linalg import _real, dist_up_to_global_phase
 
 _HALF_PI = math.pi / 2.0
 _VALID_SUBSPACES = ((0, 1), (0, 2), (1, 2))
@@ -50,20 +50,20 @@ class Gate:
             raise ValueError(
                 f"{self.kind.value} takes {expected} angle(s), got {len(self.angles)}"
             )
-        if not all(math.isfinite(a) for a in self.angles):
-            raise ValueError("gate angles must be finite")
+        for angle in self.angles:
+            _real("gate angle", angle)
 
 
 def rx(i: int, j: int, theta: float) -> Gate:
-    return Gate(GateKind.RX, (i, j), (float(theta),))
+    return Gate(GateKind.RX, (i, j), (_real("theta", theta),))
 
 
 def rz(i: int, j: int, phi: float) -> Gate:
-    return Gate(GateKind.RZ, (i, j), (float(phi),))
+    return Gate(GateKind.RZ, (i, j), (_real("phi", phi),))
 
 
 def rion(i: int, j: int, phi: float, theta: float) -> Gate:
-    return Gate(GateKind.RION, (i, j), (float(phi), float(theta)))
+    return Gate(GateKind.RION, (i, j), (_real("phi", phi), _real("theta", theta)))
 
 
 Circuit = tuple[Gate, ...]

@@ -17,6 +17,17 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """value as a finite float if it is an int, float or numpy real, else a ValueError."""
+    if type(value) is float or isinstance(value, (int, np.integer, np.floating)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a finite real, got {value!r}")
+
+
 N, M = -1, -2  # free lengths in a `_finite` shape
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_X, _finite
+from .linalg import SIGMA_X, _finite, _real
 
 
 class LambdaTooSmall(ValueError):
@@ -27,9 +27,7 @@ class PTParams:
     t: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and math.isfinite(self.t)):
-            raise ValueError("r and t must be finite")
-        if self.r < 0.0 or self.t < 0.0:
+        if _real("r", self.r) < 0.0 or _real("t", self.t) < 0.0:
             raise ValueError("r and t must be nonnegative")
 
 
@@ -90,8 +88,7 @@ class Angles:
 
 def hamiltonian(r: float) -> np.ndarray:
     """[[ir, 1], [1, -ir]]."""
-    if not math.isfinite(r):
-        raise ValueError("r must be finite")
+    r = _real("r", r)
     return np.array([[1j * r, 1.0], [1.0, -1j * r]], dtype=complex)
 
 
@@ -113,10 +110,8 @@ def _root(r: float) -> float:
 
 def eigenvalues(r: float) -> tuple[complex, complex]:
     """(+h, -h): real below r = 1, imaginary above."""
-    if not r >= 0.0:
+    if _real("r", r) < 0.0:
         raise ValueError("r must be nonnegative")
-    if r == math.inf:
-        raise ValueError("r must be finite")
     h = complex(_root(r)) if r <= 1.0 else 1j * _root(r)
     return (h, -h)
 
@@ -286,13 +281,12 @@ def success_probability(p: PTParams, psi: np.ndarray) -> float:
 
 def rescaled_evolution(p: PTParams, lam: float) -> np.ndarray:
     """V(t)/lam; only defined when the result is a contraction."""
+    lam = _real("lam", lam)
     k = kernel(p)
     sigma_plus = _singular_pair(p.r, k).sigma_plus
-    if not lam >= sigma_plus - 1e-12:
+    if lam < sigma_plus - 1e-12:
         raise LambdaTooSmall(
             f"lambda = {lam:.12g} is below the largest singular value "
             f"{sigma_plus:.12g}"
         )
-    if lam == math.inf:
-        raise ValueError("lambda must be finite")
     return _evolution(p.r, k) / lam

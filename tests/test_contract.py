@@ -1,9 +1,11 @@
 """One contract for every public name of ptqsim: given an input outside its
 domain (NaN, an infinity, an empty or wrong-shape array, a float where an
-integer goes, 2**64), a call returns a finite result or raises a ValueError
-subclass, and it never warns. An argument holding a NaN has no answer, nor
-has an array of a shape the function does not take, so both must raise. The model, dilation and experiment names also run on every
-(r, t) pair of EDGES, where populations must lie in [0, 1] and sum to 1
+integer goes, 2**64, or 2**1024, a string, None or 1j where a real goes), a
+call returns a finite result or raises a ValueError subclass, and it never
+warns. An argument holding a NaN has no answer, nor has an array of a shape
+the function does not take, nor a real argument no finite float stands for,
+so each must raise. The model, dilation and experiment names also run on
+every (r, t) pair of EDGES, where populations must lie in [0, 1] and sum to 1
 within 4 ulp."""
 
 import dataclasses
@@ -77,6 +79,9 @@ MAX = sys.float_info.max
 EDGES = (0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 1.0 + 2e-16, 2.0, 1e10, 1e200, MAX)
 PAIRS = [PTParams(r, t) for r in EDGES for t in EDGES]
 BAD_REALS = (NAN, INF, -INF)
+# not reals, or ints past the float range: no finite float stands for any of
+# them, but `numbers` reads none as a NaN, so `refused` marks each must-raise
+NOT_REALS = (2**1024, -(2**1024), "0.5", None, 1j)
 # NaN, infinite, empty and wrong-shape matrices
 BAD_MATRICES = (
     [[NAN, 0.0], [0.0, 1.0]],
@@ -148,6 +153,14 @@ def calls(*fns):
     return tuple((fn, False) for fn in fns)
 
 
+def raising(*fns):
+    return tuple((fn, True) for fn in fns)
+
+
+def refused(call):
+    return raising(*(lambda v=v: call(v) for v in NOT_REALS))
+
+
 ROWS = {
     # records the library returns, and its exception classes: no inputs of their own
     **dict.fromkeys(
@@ -177,11 +190,13 @@ ROWS = {
     "populations": over(populations, ([NAN, 0.0], [INF, 0.0], [1.0, -INF * 1j], [], [[1.0, 0.0]])),
     "svd2": over(svd2, BAD_MATRICES, fixed(2, 2)),
     # model
-    "PTParams": over(lambda rt: PTParams(*rt), ((NAN, 1.0), (INF, 1.0), (1.0, -INF), (BIG, BIG))),
+    "PTParams": over(lambda rt: PTParams(*rt), ((NAN, 1.0), (INF, 1.0), (1.0, -INF), (BIG, BIG)))
+    + refused(lambda r: PTParams(r, 1.0))
+    + refused(lambda t: PTParams(1.0, t)),
     "angles": over_pairs(angles),
-    "eigenvalues": over(eigenvalues, (*BAD_REALS, BIG, *EDGES)),
+    "eigenvalues": over(eigenvalues, (*BAD_REALS, BIG, *EDGES)) + refused(eigenvalues),
     "evolution": over_pairs(evolution),
-    "hamiltonian": over(hamiltonian, (*BAD_REALS, BIG, MAX)),
+    "hamiltonian": over(hamiltonian, (*BAD_REALS, BIG, MAX)) + refused(hamiltonian),
     "kernel": over_pairs(lambda p: (kernel(p), kernel(p).c, kernel(p).s, kernel(p).a)),
     "postselected_population": over_pairs(postselected_population),
     "pt_symmetry_check": (
@@ -191,6 +206,7 @@ ROWS = {
     "qutrit_populations": over_pairs(qutrit_populations),
     "rescaled_evolution": (
         *over(lambda lam: rescaled_evolution(PTParams(0.5, 1.0), lam), (*BAD_REALS, BIG, MAX)),
+        *refused(lambda lam: rescaled_evolution(PTParams(0.5, 1.0), lam)),
         *over_pairs(lambda p: rescaled_evolution(p, singular_values(p).sigma_plus)),
     ),
     "return_probability": over_pairs(return_probability),
@@ -211,6 +227,7 @@ ROWS = {
         *over(lambda u: embed_check(u, np.eye(3), 1.0), (np.eye(2), 2 * np.eye(2), np.eye(3), np.eye(4)),
               lambda shape: shape[0] >= 3),
         *over(lambda lam: embed_check(np.eye(3), np.eye(2), lam), (*BAD_REALS, 0.0, BIG)),
+        *refused(lambda lam: embed_check(np.eye(3), np.eye(2), lam)),
         *over(lambda tol: embed_check(np.eye(3), np.eye(2), 1.0, tol), (*BAD_REALS, 0.0)),
         # u^dag u or v / lam past the float range
         *calls(
@@ -231,6 +248,7 @@ ROWS = {
             lambda mu: hamiltonian_shift_equivalence(PTParams(0.5, 1.0), mu),
             (*BAD_REALS, BIG, MAX),
         ),
+        *refused(lambda mu: hamiltonian_shift_equivalence(PTParams(0.5, 1.0), mu)),
         *over(
             lambda args: hamiltonian_shift_equivalence(*args),
             [(p, mu) for p in PAIRS for mu in (0.0, 2.0, 1e10, MAX)],
@@ -242,7 +260,11 @@ ROWS = {
         rescale_to_contraction, BAD_MATRICES, lambda shape: len(shape) == 2 and min(shape) > 0
     ),
     # gates
-    "Gate": over(lambda args: Gate(*args), BAD_GATES),
+    "Gate": (
+        *over(lambda args: Gate(*args), BAD_GATES),
+        *refused(lambda a: Gate(GateKind.RX, (0, 1), (a,))),
+        *refused(lambda a: Gate(GateKind.RION, (0, 2), (0.5, a))),
+    ),
     "GateKind": over(GateKind, ("RY", "", NAN)),
     "circuit_unitary": calls(lambda: circuit_unitary(EXTREME), lambda: circuit_unitary(())),
     "equivalent": (
@@ -260,9 +282,19 @@ ROWS = {
             "RX 0 1", "RION 0 2 nan 0.5", f"RX {BIG} 1 0.5", f"RX 0 1 {BIG}", "",
         ),
     ),
-    "rion": over(lambda args: rion(*args), ((0, 1, NAN, 0.5), (0, 2, 0.5, INF), (0.0, 1.5, 0, 0))),
-    "rx": over(lambda args: rx(*args), ((0, 1, NAN), (1, 2, -INF), (0.5, 1, 0.0), (BIG, 1, 0.0))),
-    "rz": over(lambda args: rz(*args), ((0, 1, NAN), (1, 2, INF), (1.0, 2.5, 0.0))),
+    "rion": (
+        *over(lambda args: rion(*args), ((0, 1, NAN, 0.5), (0, 2, 0.5, INF), (0.0, 1.5, 0, 0))),
+        *refused(lambda phi: rion(0, 1, phi, 0.5)),
+        *refused(lambda theta: rion(0, 2, 0.5, theta)),
+    ),
+    "rx": (
+        *over(lambda args: rx(*args), ((0, 1, NAN), (1, 2, -INF), (0.5, 1, 0.0), (BIG, 1, 0.0))),
+        *refused(lambda theta: rx(0, 1, theta)),
+    ),
+    "rz": (
+        *over(lambda args: rz(*args), ((0, 1, NAN), (1, 2, INF), (1.0, 2.5, 0.0))),
+        *refused(lambda phi: rz(0, 1, phi)),
+    ),
     "stats": calls(lambda: stats(EXTREME), lambda: stats(())),
     "transpile_ion": calls(lambda: transpile_ion(EXTREME), lambda: transpile_ion(CIRCUIT)),
     "transpile_transmon": calls(lambda: transpile_transmon(EXTREME), lambda: transpile_transmon(CIRCUIT)),
@@ -277,7 +309,8 @@ ROWS = {
             *({"exact": v} for v in ("no", 1, 0.0, NAN, None)),
             *({"kind": v} for v in ("ion", "theory", NAN, None)),
         ),
-    ),
+    )
+    + refused(lambda e: BackendConfig(epsilon=(0.01, e))),
     "BackendKind": over(BackendKind, ("qubit", NAN)),
     "ConfusionMatrix": over(
         ConfusionMatrix,
@@ -290,7 +323,11 @@ ROWS = {
             *({key: v} for key in ("r_min", "r_max", "t_min", "t_max") for v in BAD_REALS),
             *({key: v} for key in ("r_steps", "t_steps") for v in (NAN, 2.5, 61.0, BIG)),
         ),
-    ),
+    )
+    + refused(lambda v: SweepGrid(r_min=v))
+    + refused(lambda v: SweepGrid(r_max=v))
+    + refused(lambda v: SweepGrid(t_min=v))
+    + refused(lambda v: SweepGrid(t_max=v)),
     "default_backend": over(
         lambda args: default_backend(*args),
         [
@@ -310,10 +347,18 @@ ROWS = {
     "miscalibrate": (
         *over(lambda eps: miscalibrate(CIRCUIT, eps), (*BAD_REALS, BIG)),
         *over(lambda eps: miscalibrate((), eps), (*BAD_REALS, BIG)),
+        *refused(lambda eps: miscalibrate(CIRCUIT, eps)),
+        *refused(lambda eps: miscalibrate((), eps)),
     ),
     "postselect_ratios": (
         *over(lambda x: postselect_ratios(np.array([x, 1.0]), np.ones(2)), BAD_REALS),
         *over(lambda x: postselect_ratios(np.ones(2), np.array([1.0, x])), BAD_REALS),
+        # a negative count or weight has no share; -0.0 is zero
+        *raising(
+            lambda: postselect_ratios(np.array([-1.0]), np.array([-3.0])),
+            lambda: postselect_ratios(np.array([-1.0]), np.array([3.0])),
+        ),
+        *calls(lambda: postselect_ratios(np.array([-0.0, 1.0]), np.array([1.0, -0.0]))),
         # as a numpy array, 2**64 is a float: no numpy integer type holds it
         *calls(
             lambda: postselect_ratios(np.zeros(0), np.zeros(0)),
@@ -349,7 +394,7 @@ ROWS = {
         lambda args: sweep(SweepGrid(args[0].r, args[0].r, 1, args[0].t, args[0].t, 1), args[1])[0],
         [(p, b) for p in PAIRS for b in BACKENDS],
     ),
-    "synthetic_confusion": over(synthetic_confusion, (*BAD_REALS, BIG, 0.0)),
+    "synthetic_confusion": over(synthetic_confusion, (*BAD_REALS, BIG, 0.0)) + refused(synthetic_confusion),
 }
 
 
@@ -383,3 +428,13 @@ def test_out_of_domain_inputs_raise_value_errors_or_give_finite_results(name):
         if name in POPULATIONS:
             assert np.all((0.0 <= values) & (values <= 1.0)), (name, result)
             assert abs(math.fsum(values) - 1.0) <= 4 * np.finfo(float).eps, (name, result)
+
+
+def test_a_bad_lambda_or_mu_is_named_not_read_as_too_small():
+    # named as not real, not as LambdaTooSmall or ShiftTooSmall: a NaN is not
+    # below any singular value
+    for value in (*BAD_REALS, *NOT_REALS):
+        with pytest.raises(ValueError, match="^lam must be a finite real, got"):
+            rescaled_evolution(PTParams(0.5, 1.0), value)
+        with pytest.raises(ValueError, match="^mu must be a finite real, got"):
+            hamiltonian_shift_equivalence(PTParams(0.5, 1.0), value)

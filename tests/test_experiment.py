@@ -121,6 +121,10 @@ INTEGER_ARGUMENTS = {
     "run_point ion_index": lambda v: run_point(
         PTParams(0.5, 1.0), default_backend(BackendKind.ION), ion_index=v
     ),
+    # in exact mode: the sampled backend's array keys already refuse a float
+    "run_point grid_key": lambda v: run_point(
+        PTParams(0.5, 1.0), BackendConfig(exact=True), grid_key=(v, 0)
+    ),
     "exact_probabilities ion_index": lambda v: exact_probabilities(
         PTParams(0.5, 1.0), default_backend(BackendKind.ION), ion_index=v
     ),
@@ -479,7 +483,7 @@ def test_postselect_ratios():
 
 def test_postselect_ratios_sums_in_floats():
     big = sys.float_info.max
-    first, second = np.array([1e308, big, big, 3.0, -big, 0.0]), np.array([1e308, big, 1e308, 1.0, -big, 0.0])
+    first, second = np.array([1e308, big, big, 3.0, -0.0, 0.0]), np.array([1e308, big, 1e308, 1.0, -0.0, 0.0])
     ratios = postselect_ratios(first, second)
     assert ratios[:2].tolist() == [0.5, 0.5]
     assert math.isclose(ratios[2], Fraction(big) / (Fraction(big) + Fraction(1e308)), rel_tol=2**-52)
