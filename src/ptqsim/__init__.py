@@ -12,13 +12,11 @@ from .dilation import (
     NormTooLarge,
     RankTooLarge,
     ShiftTooSmall,
-    ZeroMatrix,
     embed_check,
     general_dilation,
     hamiltonian_shift_equivalence,
     qutrit_circuit,
     qutrit_unitary,
-    rescale_to_contraction,
 )
 from .experiment import (
     BackendConfig,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Circuit, circuit_unitary, rx
-from .linalg import M, N, _finite, _integer, _real, expm_taylor, is_unitary
+from .linalg import N, _finite, _integer, _real, expm_taylor, is_unitary
 from .model import PTParams, _angles, _postselected, hamiltonian, kernel
 
 SIZE_CAP = 16
@@ -29,10 +29,6 @@ class NormTooLarge(DilationError):
 
 class RankTooLarge(DilationError):
     """rank(1 - a^dag a) exceeds the number of ancilla dimensions."""
-
-
-class ZeroMatrix(DilationError):
-    """No positive singular value to rescale by."""
 
 
 class ShiftTooSmall(DilationError):
@@ -79,24 +75,6 @@ def embed_check(u: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-10) ->
     with np.errstate(over="ignore"):
         gap = np.hypot(u[:n, :n].real - v.real / lam, u[:n, :n].imag - v.imag / lam)
     return float(np.max(gap)) <= tol
-
-
-def rescale_to_contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(a / sigma_max, sigma_max) with sigma_max from LAPACK's SVD; sigma_max
-    is inf where it overflows. Where the SVD overflows (to NaN if an entry's
-    modulus does), both are read from a scaled by a power of two that brings
-    every real and imaginary part below 1."""
-    a = _finite(a, "a", (M, N))
-    sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
-    if sigma_max < 1e-14:
-        raise ZeroMatrix("largest singular value below 1e-14")
-    if not sigma_max < math.inf:
-        e = math.frexp(np.max(np.abs([a.real, a.imag])))[1]
-        a = a * math.ldexp(1.0, -e)
-        sigma = float(np.linalg.svd(a, compute_uv=False)[0])
-        # e <= 1024, and a float product overflows to inf without raising
-        return a / sigma, sigma * 2.0 ** (e - 1) * 2.0
-    return a / sigma_max, sigma_max
 
 
 def general_dilation(a: np.ndarray, m: int) -> Dilation:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dilation import qutrit_circuit
 from .gates import Circuit, Gate, GateKind, circuit_unitary, transpile_ion
-from .linalg import _finite, _integer, _real, populations
+from .linalg import _finite, _integer, _real, _shown, populations
 from .model import PTParams, qutrit_populations_array
 
 DEFAULT_ION_EPSILON = (0.02, -0.015, 0.01, -0.02, 0.005)
@@ -117,19 +117,25 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, BackendKind):
-            raise ValueError(f"kind must be a BackendKind, got {self.kind!r}")
+            raise ValueError(f"kind must be a BackendKind, got {_shown(self.kind)}")
         # numpy integers are stored as ints, which exact-mode arithmetic needs
         object.__setattr__(self, "shots", _check_shots("shots", self.shots))
         object.__setattr__(self, "ion_count", _integer("ion_count", self.ion_count))
         if self.ion_count < 1:
             raise ValueError("ion_count must be at least 1")
-        if not all(abs(_real("epsilon", e)) < 0.5 for e in self.epsilon):
+        try:
+            object.__setattr__(self, "epsilon", tuple(_real("epsilon", e) for e in self.epsilon))
+        except TypeError:
+            raise ValueError(f"epsilon must be a sequence of reals, got {_shown(self.epsilon)}") from None
+        if not all(abs(e) < 0.5 for e in self.epsilon):
             raise ValueError("per-ion over-rotation must satisfy |epsilon| < 0.5")
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if not isinstance(self.exact, (bool, np.bool_)):
-            raise ValueError(f"exact must be a bool, got {self.exact!r}")
+            raise ValueError(f"exact must be a bool, got {_shown(self.exact)}")
         if self.confusion is None:
             object.__setattr__(self, "confusion", identity_confusion())
+        elif not isinstance(self.confusion, ConfusionMatrix):
+            raise ValueError(f"confusion must be a ConfusionMatrix or None, got {_shown(self.confusion)}")
 
 
 def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
@@ -179,7 +185,7 @@ def _ion_column(backend: BackendConfig, ion_index: int) -> np.ndarray:
     """[ion_index], which on the ion backend must name one of its ions."""
     ion_index = _integer("ion_index", ion_index)
     if backend.kind is BackendKind.ION and not 0 <= ion_index < backend.ion_count:
-        raise ValueError(f"ion_index {ion_index} outside 0..{backend.ion_count - 1}")
+        raise ValueError(f"ion_index {_shown(ion_index)} outside 0..{_shown(backend.ion_count - 1)}")
     return np.array([ion_index])
 
 
@@ -459,9 +465,11 @@ def run_point(
 ) -> ExperimentPoint:
     """One point of `sweep`: the grid indices in grid_key key its stream."""
     ion = _ion_column(backend, ion_index)
+    if not (isinstance(grid_key, tuple) and len(grid_key) == 2):
+        raise ValueError(f"grid_key must be a pair, got {_shown(grid_key)}")
     i_r, i_t = (_integer("grid_key entry", k) for k in grid_key)
     if not (0 <= i_r <= _MASK32 and 0 <= i_t <= _MASK32):
-        raise ValueError(f"grid_key entries must lie in 0..2**32 - 1, got {grid_key}")
+        raise ValueError(f"grid_key entries must lie in 0..2**32 - 1, got {_shown(grid_key)}")
     return _emulate(
         backend,
         np.array([p.r], float),
@@ -491,7 +499,7 @@ class SweepGrid:
             raise ValueError("steps must be at least 1")
         if self.r_steps * self.t_steps > MAX_GRID_POINTS:
             raise ValueError(
-                f"r_steps * t_steps = {self.r_steps * self.t_steps} exceeds "
+                f"r_steps * t_steps = {_shown(self.r_steps * self.t_steps)} exceeds "
                 f"{MAX_GRID_POINTS} points"
             )
         if self.r_min < 0.0 or self.t_min < 0.0:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _real, dist_up_to_global_phase
+from .linalg import _real, _shown, dist_up_to_global_phase
 
 _HALF_PI = math.pi / 2.0
 _VALID_SUBSPACES = ((0, 1), (0, 2), (1, 2))
@@ -43,8 +43,12 @@ class Gate:
 
     def __post_init__(self) -> None:
         if self.subspace not in _VALID_SUBSPACES:
-            raise ValueError(f"bad subspace {self.subspace}")
+            raise ValueError(f"bad subspace {_shown(self.subspace)}")
         object.__setattr__(self, "subspace", _VALID_SUBSPACES[_VALID_SUBSPACES.index(self.subspace)])
+        if not isinstance(self.kind, GateKind):
+            raise ValueError(f"kind must be a GateKind, got {_shown(self.kind)}")
+        if not isinstance(self.angles, tuple):
+            raise ValueError(f"angles must be a tuple, got {_shown(self.angles)}")
         expected = 2 if self.kind is GateKind.RION else 1
         if len(self.angles) != expected:
             raise ValueError(

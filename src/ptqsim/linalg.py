@@ -10,10 +10,21 @@ import numpy as np
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def _shown(value) -> str:
+    """value's repr, or where repr refuses (an int past Python's 4300-digit limit,
+    or a value holding one) a stand-in: its bit length, its entries, its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return f"({', '.join(map(_shown, value))})"
+        return f"<int of {value.bit_length()} bits>" if isinstance(value, int) else f"<{type(value).__name__}>"
+
+
 def _integer(name: str, value) -> int:
     """An int or numpy integer as an int; a float is refused, not truncated."""
     if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     return int(value)
 
 
@@ -25,19 +36,19 @@ def _real(name: str, value) -> float:
                 return float(value)
         except OverflowError:
             pass
-    raise ValueError(f"{name} must be a finite real, got {value!r}")
+    raise ValueError(f"{name} must be a finite real, got {_shown(value)}")
 
 
-N, M = -1, -2  # free lengths in a `_finite` shape
+N = -1  # the free length in a `_finite` shape
 
 
 def _finite(m, name: str, shape: tuple[int, ...] | None = None, dtype=complex) -> np.ndarray:
-    """m as an array of dtype holding no NaN or infinity, of shape if given: a
-    free length there is any positive length, the same wherever it appears."""
+    """m as an array of dtype holding no NaN or infinity, of shape if given:
+    N there is any positive length, the same wherever it appears."""
     m = np.asarray(m, dtype=dtype)
-    free = {s: n for s, n in zip(shape or (), m.shape) if s < 0}
-    if shape is not None and (m.size == 0 or m.shape != tuple(free.get(s, s) for s in shape)):
-        text = ", ".join("nm"[~s] if s < 0 else str(s) for s in shape)
+    n = dict(zip(shape or (), m.shape)).get(N)
+    if shape is not None and (m.size == 0 or m.shape != tuple(n if s == N else s for s in shape)):
+        text = ", ".join("n" if s == N else str(s) for s in shape)
         raise ValueError(f"{name} must have shape ({text}), got {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} entries must be finite")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import mp_observables
 from ptqsim import cli
-from ptqsim.dilation import qutrit_circuit
+from ptqsim.dilation import Dilation, NormTooLarge, qutrit_circuit
 from ptqsim.experiment import (
     BackendConfig,
     BackendKind,
@@ -736,6 +736,43 @@ def test_dilation_check_subcommand(capsys):
     for seed in (-1, 2**64):
         assert run_cli(["dilation-check", "--trials", "1", "--seed", str(seed)]) == 2
         assert capsys.readouterr().err == "config error: --seed must fit in 64 unsigned bits\n"
+
+
+def test_transpile_exits_3_when_the_transpiled_circuit_differs(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "circ.txt"
+    src.write_text(format_circuit(qutrit_circuit(PTParams(0.5, 1.0))))
+    out = tmp_path / "out.txt"
+    out.write_text("earlier run\n")
+    monkeypatch.setattr(cli, "transpile_ion", lambda circuit: (rx(0, 1, 0.5),))
+    assert run_cli(["transpile", "--target", "ion", str(src), str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: transpiled circuit does not reproduce the input unitary\n"
+    assert out.read_text() == "earlier run\n"
+    assert sorted(tmp_path.iterdir()) == [src, out]
+
+
+def test_dilation_check_exits_4_on_a_dilation_error(capsys, monkeypatch):
+    def too_large(a, m):
+        raise NormTooLarge("largest singular value 1.5 exceeds 1")
+
+    monkeypatch.setattr(cli, "general_dilation", too_large)
+    assert run_cli(["dilation-check", "--trials", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "trial 0: NormTooLarge: largest singular value 1.5 exceeds 1\n"
+    assert captured.err == ""
+
+
+def test_dilation_check_exits_4_on_a_defective_unitary(capsys, monkeypatch):
+    # u = 2.I: unitarity defect 3, block defect at least 1
+    monkeypatch.setattr(cli, "general_dilation", lambda a, m: Dilation(u=2.0 * np.eye(len(a) + m)))
+    assert run_cli(["dilation-check", "--trials", "3", "--seed", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == [
+        "trials=3 n=2 m=1 seed=5",
+        "max unitarity defect = 3.000e+00",
+    ]
+    assert captured.err == "defect overflow: threshold 1e-9 exceeded\n"
 
 
 def test_main_requires_subcommand():

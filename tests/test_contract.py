@@ -11,9 +11,11 @@ within 4 ulp."""
 import dataclasses
 import inspect
 import math
+import re
 import sys
 import warnings
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,7 +58,6 @@ from ptqsim import (
     qutrit_circuit,
     qutrit_populations,
     qutrit_unitary,
-    rescale_to_contraction,
     rescaled_evolution,
     return_probability,
     rion,
@@ -167,7 +168,7 @@ ROWS = {
         (
             "Angles", "Circuit", "CircuitStats", "Dilation", "ExperimentPoint", "GateSet",
             "Kernel", "SingularPair", "Svd2", "SweepResult", "DilationError", "LambdaTooSmall",
-            "NormTooLarge", "RankTooLarge", "ShiftTooSmall", "UnsupportedGate", "ZeroMatrix",
+            "NormTooLarge", "RankTooLarge", "ShiftTooSmall", "UnsupportedGate",
         ),
         (),
     ),
@@ -256,14 +257,21 @@ ROWS = {
     ),
     "qutrit_circuit": over_pairs(qutrit_circuit),
     "qutrit_unitary": over_pairs(qutrit_unitary),
-    "rescale_to_contraction": over(
-        rescale_to_contraction, BAD_MATRICES, lambda shape: len(shape) == 2 and min(shape) > 0
-    ),
     # gates
     "Gate": (
         *over(lambda args: Gate(*args), BAD_GATES),
         *refused(lambda a: Gate(GateKind.RX, (0, 1), (a,))),
         *refused(lambda a: Gate(GateKind.RION, (0, 2), (0.5, a))),
+        # a kind that is not a GateKind, or angles that are not a tuple, are
+        # refused when the gate is built, not when it is formatted or rescaled
+        *raising(
+            lambda: Gate("RX", (0, 1), (0.5,)),
+            lambda: Gate("RION", (0, 2), (0.5,)),
+            lambda: Gate(None, (0, 1), (0.5,)),
+            lambda: Gate(GateKind.RION, (0, 1), [0.0, 0.5]),
+            lambda: Gate(GateKind.RION, (0, 1), np.array([0.0, 0.5])),
+            lambda: Gate(GateKind.RX, (0, 1), 0.5),
+        ),
     ),
     "GateKind": over(GateKind, ("RY", "", NAN)),
     "circuit_unitary": calls(lambda: circuit_unitary(EXTREME), lambda: circuit_unitary(())),
@@ -310,7 +318,13 @@ ROWS = {
             *({"kind": v} for v in ("ion", "theory", NAN, None)),
         ),
     )
-    + refused(lambda e: BackendConfig(epsilon=(0.01, e))),
+    + refused(lambda e: BackendConfig(epsilon=(0.01, e)))
+    + raising(
+        lambda: BackendConfig(epsilon=0.01),
+        lambda: BackendConfig(epsilon=None),
+        lambda: BackendConfig(confusion=np.eye(3)),
+        lambda: BackendConfig(confusion="identity"),
+    ),
     "BackendKind": over(BackendKind, ("qubit", NAN)),
     "ConfusionMatrix": over(
         ConfusionMatrix,
@@ -380,6 +394,11 @@ ROWS = {
             lambda key: run_point(PTParams(0.5, 1.0), BACKENDS[0], grid_key=key),
             ((1.5, 0), (NAN, 0), (0, INF), (BIG, 0), (0, -1), (0,)),
         ),
+        *raising(
+            lambda: run_point(PTParams(0.5, 1.0), BACKENDS[0], grid_key=5),
+            lambda: run_point(PTParams(0.5, 1.0), BACKENDS[0], grid_key=None),
+            lambda: run_point(PTParams(0.5, 1.0), BACKENDS[0], grid_key=(0, 0, 0)),
+        ),
     ),
     "sample_counts": (
         *over(
@@ -438,3 +457,39 @@ def test_a_bad_lambda_or_mu_is_named_not_read_as_too_small():
             rescaled_evolution(PTParams(0.5, 1.0), value)
         with pytest.raises(ValueError, match="^mu must be a finite real, got"):
             hamiltonian_shift_equivalence(PTParams(0.5, 1.0), value)
+
+
+# an int Python will not print: more than 4300 digits
+HUGE = 10**5000
+# each call refuses HUGE as the argument it names
+HUGE_REFUSALS = {
+    "PTParams": ("r", lambda: PTParams(HUGE, 1.0)),
+    "PTParams Fraction": ("r", lambda: PTParams(Fraction(HUGE), 1.0)),
+    "PTParams Fraction in a tuple": ("r", lambda: PTParams((Fraction(HUGE),), 1.0)),
+    "synthetic_confusion": ("diagonal", lambda: synthetic_confusion(HUGE)),
+    "rx": ("theta", lambda: rx(0, 1, HUGE)),
+    "miscalibrate": ("eps", lambda: miscalibrate((), HUGE)),
+    "embed_check": ("lam", lambda: embed_check(np.eye(3), np.eye(2), HUGE)),
+    "run_point grid_key": (
+        "grid_key",
+        lambda: run_point(PTParams(0.5, 1.0), BackendConfig(exact=True), grid_key=(HUGE, 0)),
+    ),
+    "run_point ion_index": ("ion_index", lambda: run_point(PTParams(0.5, 1.0), BACKENDS[1], HUGE)),
+    "exact_probabilities ion_index": (
+        "ion_index",
+        lambda: exact_probabilities(PTParams(0.5, 1.0), BACKENDS[1], HUGE),
+    ),
+    "SweepGrid": ("r_steps", lambda: SweepGrid(r_steps=HUGE)),
+    "BackendConfig kind": ("kind", lambda: BackendConfig(kind=HUGE)),
+    "BackendConfig exact": ("exact", lambda: BackendConfig(exact=HUGE)),
+    "Gate": ("subspace", lambda: Gate(GateKind.RX, (HUGE, 1), (0.5,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_REFUSALS))
+def test_a_refusal_names_its_argument_for_an_int_too_long_to_print(case):
+    argument, call = HUGE_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert re.match(rf"(bad )?{argument}\b", message) and len(message) < 200, message

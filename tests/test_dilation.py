@@ -14,13 +14,11 @@ from ptqsim.dilation import (
     NormTooLarge,
     RankTooLarge,
     ShiftTooSmall,
-    ZeroMatrix,
     embed_check,
     general_dilation,
     hamiltonian_shift_equivalence,
     qutrit_circuit,
     qutrit_unitary,
-    rescale_to_contraction,
 )
 from ptqsim.gates import GateKind, gate_matrix, rx
 from ptqsim.linalg import SIGMA_X, dag, is_unitary
@@ -135,48 +133,6 @@ def test_rank_reduction_of_rescaled_block():
         assert above <= 1
         if sv.sigma_plus > 1.0 + 1e-5:
             assert above == 1
-
-
-@pytest.mark.filterwarnings("error")
-def test_rescale_to_contraction_examples():
-    rng = np.random.default_rng(67)
-    u = _haar_unitary(3, rng)
-    scaled, lam = rescale_to_contraction(u)
-    assert lam == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(scaled - u)) < 1e-12
-    scaled, lam = rescale_to_contraction(3.0 * I2)
-    assert lam == pytest.approx(3.0, abs=1e-14)
-    assert np.max(np.abs(scaled - I2)) < 1e-14
-    _, lam = rescale_to_contraction(evolution(PTParams(1.0, 1.0)))
-    assert lam == pytest.approx(math.sqrt(2.0) + 1.0, abs=1e-12)
-    with pytest.raises(ZeroMatrix):
-        rescale_to_contraction(np.zeros((3, 3)))
-    # a^dag a overflows past entries of about 1.3e154
-    a = np.array([[1.0, 2.0j], [0.5, 3.0]])
-    scaled, lam = rescale_to_contraction(1e160 * a)
-    assert np.all(np.isfinite(scaled))
-    assert lam == pytest.approx(1e160 * np.linalg.norm(a, 2), rel=1e-12)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            rescale_to_contraction(np.array([[1.0, bad], [0.0, 1.0]]))
-    # sigma_max overflows while a / sigma_max does not
-    scaled, lam = rescale_to_contraction(1.7e308 * np.ones((2, 2)))
-    assert lam == math.inf
-    assert np.array_equal(scaled, 0.5 * np.ones((2, 2)))
-    # an entry whose modulus overflows
-    scaled, lam = rescale_to_contraction(np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 1.0]]))
-    assert lam == math.inf
-    assert abs(scaled[0, 0] - complex(1.0, 1.0) / math.sqrt(2.0)) < 1e-15
-    assert scaled[0, 1] == scaled[1, 0] == 0.0
-    assert scaled[1, 1] == pytest.approx(1.0 / 1.7e308 / math.sqrt(2.0), rel=1e-12)
-    # a finite sigma_max is LAPACK's, and divides a directly
-    a = 1e300 * np.array([[1.0, 2.0j], [0.5, 3.0]])
-    scaled, lam = rescale_to_contraction(a)
-    assert lam == float(np.linalg.svd(a, compute_uv=False)[0])
-    assert np.array_equal(scaled, a / lam)
-    for empty in (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros(2)):
-        with pytest.raises(ValueError):
-            rescale_to_contraction(empty)
 
 
 def test_general_dilation_identity_block():

@@ -161,6 +161,18 @@ def test_exact_must_be_a_bool():
     assert exact == return_probability(PTParams(0.5, 1.0))
 
 
+def test_epsilon_is_stored_as_a_tuple_of_floats():
+    # an array of over-rotations was once stored, and its ion sweep then
+    # raised numpy's ambiguous-truth error
+    backend = BackendConfig(kind=BackendKind.ION, epsilon=np.array([0.01, 0.02]))
+    assert backend.epsilon == (0.01, 0.02)
+    assert all(type(e) is float for e in backend.epsilon)
+    grid = SweepGrid(r_steps=2, t_steps=3)
+    want = sweep(grid, BackendConfig(kind=BackendKind.ION, epsilon=(0.01, 0.02)))
+    got = sweep(grid, backend)
+    assert np.array_equal(got.p_exact, want.p_exact) and np.array_equal(got.counts, want.counts)
+
+
 def test_kind_must_be_a_backend_kind():
     # a string kind was once stored, and its sweep ran as theory
     for value in ("ion", "theory", None, 1):
