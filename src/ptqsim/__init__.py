@@ -58,7 +58,6 @@ from .gates import (
 )
 from .linalg import (
     Svd2,
-    dist_up_to_global_phase,
     expm_taylor,
     is_unitary,
     populations,
@@ -71,17 +70,14 @@ from .model import (
     PTParams,
     SingularPair,
     angles,
-    eigenvalues,
     evolution,
     hamiltonian,
     kernel,
     postselected_population,
-    pt_symmetry_check,
     qutrit_populations,
     rescaled_evolution,
     return_probability,
     singular_values,
-    success_probability,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .dilation import qutrit_circuit
-from .gates import Circuit, Gate, GateKind, circuit_unitary, transpile_ion
+from .gates import Circuit, Gate, GateKind, _gates, _not_gates, circuit_unitary, transpile_ion
 from .linalg import _finite, _integer, _real, _shown, populations
 from .model import PTParams, qutrit_populations_array
 
@@ -76,6 +76,8 @@ def synthetic_confusion(diagonal: float, label: str = "synthetic") -> ConfusionM
 def load_confusion(text: str, label: str = "file") -> ConfusionMatrix:
     """Nine whitespace-separated reals, row-major; columns re-normalized when
     within 1e-6 of stochastic, rejected otherwise."""
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, found {_shown(text)}")
     try:
         values = [float(x) for x in text.split()]
     except ValueError as exc:
@@ -155,11 +157,14 @@ def miscalibrate(c: Circuit, eps: float) -> Circuit:
     phases and pulse-phase arguments are untouched."""
     if not abs(_real("eps", eps)) < 0.5:
         raise ValueError("|eps| must be below 0.5")
-    return tuple(
-        g if g.kind is GateKind.RZ
-        else Gate(g.kind, g.subspace, g.angles[:-1] + (g.angles[-1] * (1.0 + eps),))
-        for g in c
-    )
+    out = []
+    for g in _gates(c):
+        if not isinstance(g, Gate):
+            raise _not_gates(g)
+        if g.kind is not GateKind.RZ:
+            g = Gate(g.kind, g.subspace, g.angles[:-1] + (g.angles[-1] * (1.0 + eps),))
+        out.append(g)
+    return tuple(out)
 
 
 def _probabilities(

@@ -7,8 +7,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 
 def _shown(value) -> str:
     """value's repr, or where repr refuses (an int past Python's 4300-digit limit,
@@ -95,24 +93,6 @@ def svd2(m: np.ndarray) -> Svd2:
     m = _finite(m, "m", (2, 2))
     left, sigma, right_dag = np.linalg.svd(m)
     return Svd2(float(sigma[0]), float(sigma[1]), left, dag(right_dag))
-
-
-def dist_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
-    """max-abs entry of (a - z.b) with the unit scalar z aligning b to a.
-
-    z is taken from trace(b^dag a); when that vanishes, from the entry pair
-    with the largest |a_ij . b_ij| (symmetric in the arguments either way).
-    """
-    a = _finite(a, "a", (N, N))
-    b = _finite(b, "b", a.shape)
-    overlap = np.trace(dag(b) @ a)
-    if abs(overlap) <= 1e-14:
-        products = np.abs(a) * np.abs(b)
-        idx = np.unravel_index(int(np.argmax(products)), products.shape)
-        overlap = np.conj(b[idx]) * a[idx]
-    # the phase alone: 1 / |overlap| overflows where |overlap| is subnormal
-    z = np.exp(1j * np.angle(overlap))
-    return float(np.max(np.abs(a - z * b)))
 
 
 def expm_taylor(m: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_X, _finite, _real
+from .linalg import _real
 
 
 class LambdaTooSmall(ValueError):
@@ -92,28 +92,11 @@ def hamiltonian(r: float) -> np.ndarray:
     return np.array([[1j * r, 1.0], [1.0, -1j * r]], dtype=complex)
 
 
-def pt_symmetry_check(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff sigma_x . conj(m) . sigma_x == m within tol."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    m = _finite(m, "m", (2, 2))
-    transformed = SIGMA_X @ m.conj() @ SIGMA_X
-    return float(np.max(np.abs(transformed - m))) <= tol
-
-
 def _root(r: float) -> float:
     """sqrt(|1 - r^2|) with no cancellation near r = 1 and no overflow."""
     if r <= 1.0:
         return math.sqrt((1.0 - r) * (1.0 + r))
     return math.sqrt(r - 1.0) * math.sqrt(r + 1.0)
-
-
-def eigenvalues(r: float) -> tuple[complex, complex]:
-    """(+h, -h): real below r = 1, imaginary above."""
-    if _real("r", r) < 0.0:
-        raise ValueError("r must be nonnegative")
-    h = complex(_root(r)) if r <= 1.0 else 1j * _root(r)
-    return (h, -h)
 
 
 def kernel(p: PTParams) -> Kernel:
@@ -139,8 +122,8 @@ def kernel(p: PTParams) -> Kernel:
     return Kernel(g, log_g, c, s, math.sqrt(g * g + rs * rs))
 
 
-def _evolution(r: float, k: Kernel, scaled: bool = False) -> np.ndarray:
-    """V, or its finite copy g.V when scaled.
+def _evolution(r: float, k: Kernel) -> np.ndarray:
+    """V from the scaled kernel k.
 
     Past r = 2, c - r.s cancels as r grows; with kappa - r = -1/(kappa + r),
     g.V11 = g^2 (kappa + r)/(2 kappa) - 1/(2 kappa (kappa + r)) does not. The
@@ -151,15 +134,14 @@ def _evolution(r: float, k: Kernel, scaled: bool = False) -> np.ndarray:
     if r > 2.0:
         kappa = _root(r)
         minus = k.g * k.g * (0.5 + 0.5 * r / kappa) - 0.5 / kappa / (kappa + r)
-    if not scaled:
-        if r > 2.0 and k.g < _SQRT_TINY:
-            # g^2 underflows above: V11 = g (kappa + r)/(2 kappa) - b/g, with
-            # log b = -log(2 kappa (kappa + r)) taken apart so it cannot overflow
-            log_b = -(_LN2 + math.log(kappa) + math.log(r) + math.log1p(kappa / r))
-            minus = k.g * (0.5 + 0.5 * r / kappa) - _exp(log_b - k.log_g)
-        else:
-            minus = _unscale(minus, k.g, k.log_g)
-        plus, s = _unscale(plus, k.g, k.log_g), _unscale(s, k.g, k.log_g)
+    if r > 2.0 and k.g < _SQRT_TINY:
+        # g^2 underflows above: V11 = g (kappa + r)/(2 kappa) - b/g, with
+        # log b = -log(2 kappa (kappa + r)) taken apart so it cannot overflow
+        log_b = -(_LN2 + math.log(kappa) + math.log(r) + math.log1p(kappa / r))
+        minus = k.g * (0.5 + 0.5 * r / kappa) - _exp(log_b - k.log_g)
+    else:
+        minus = _unscale(minus, k.g, k.log_g)
+    plus, s = _unscale(plus, k.g, k.log_g), _unscale(s, k.g, k.log_g)
     return np.array([[plus, complex(0.0, -s)], [complex(0.0, -s), minus]])
 
 
@@ -267,16 +249,6 @@ def _postselected(r: float, k: Kernel) -> float:
 def postselected_population(p: PTParams) -> float:
     """|V00|^2 / (|V00|^2 + |V10|^2): conditioning removes any rescaling."""
     return _postselected(p.r, kernel(p))
-
-
-def success_probability(p: PTParams, psi: np.ndarray) -> float:
-    """<psi|V^dag V|psi> / sigma_plus^2 for a unit two-component psi."""
-    psi = _finite(psi, "psi", (2,))
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
-        raise ValueError("psi must be normalized")
-    k = kernel(p)
-    w = _evolution(p.r, k, scaled=True) @ psi
-    return float(np.real(np.vdot(w, w)) / (k.ga + abs(p.r * k.gs)) ** 2)
 
 
 def rescaled_evolution(p: PTParams, lam: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from ptqsim.model import PTParams
 
 I2 = np.eye(2, dtype=complex)
 I3 = np.eye(3, dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import I2, I3, series_evolution
+from conftest import I2, I3, SIGMA_X, series_evolution
 from ptqsim.cli import _haar_unitary
 from ptqsim.dilation import (
     Dilation,
@@ -21,12 +21,11 @@ from ptqsim.dilation import (
     qutrit_unitary,
 )
 from ptqsim.gates import GateKind, gate_matrix, rx
-from ptqsim.linalg import SIGMA_X, dag, is_unitary
+from ptqsim.linalg import dag, is_unitary
 from ptqsim.model import (
     PTParams,
     evolution,
     singular_values,
-    success_probability,
 )
 
 SIGMA_PLUS_08_2 = 2.8378206493124876  # frozen sigma_+ at (r=0.8, t=2)
@@ -107,18 +106,6 @@ def test_embed_check_random_points():
         p = PTParams(float(rng.uniform(0, 2)), float(rng.uniform(0, 10)))
         lam = singular_values(p).sigma_plus
         assert embed_check(qutrit_unitary(p), evolution(p), lam, 1e-10)
-
-
-def test_success_probability_consistency():
-    rng = np.random.default_rng(59)
-    for _ in range(100):
-        p = PTParams(float(rng.uniform(0, 2)), float(rng.uniform(0, 10)))
-        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi = psi / np.linalg.norm(psi)
-        lifted = np.array([psi[0], psi[1], 0.0], dtype=complex)
-        w = qutrit_unitary(p) @ lifted
-        kept = float(np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2)
-        assert abs(kept - success_probability(p, psi)) < 1e-10
 
 
 def test_rank_reduction_of_rescaled_block():

@@ -20,6 +20,7 @@ from ptqsim.gates import (
     Gate,
     GateKind,
     UnsupportedGate,
+    _phase_block,
     circuit_unitary,
     equivalent,
     format_circuit,
@@ -32,6 +33,7 @@ from ptqsim.gates import (
     transpile_ion,
     transpile_transmon,
 )
+from ptqsim.experiment import miscalibrate
 from ptqsim.linalg import is_unitary, populations
 from ptqsim.model import PTParams
 
@@ -48,6 +50,9 @@ def test_gate_validation():
         Gate(GateKind.RX, (0, 1), (0.5, 0.5))
     with pytest.raises(ValueError):
         rx(0, 1, float("inf"))
+    # a tuple of numpy ints names a subspace, stored as ints
+    g = Gate(GateKind.RX, (np.int64(0), np.int64(2)), (0.5,))
+    assert g.subspace == (0, 2) and all(type(i) is int for i in g.subspace)
 
 
 @given(
@@ -271,6 +276,30 @@ def test_equivalent_up_to_phase():
     assert equivalent(minus_one, Circuit(), 1e-12, up_to_phase=True)
     assert not equivalent(minus_one, Circuit(), 1e-12, up_to_phase=False)
     assert not equivalent(Circuit((rz(1, 2, math.pi),)), Circuit(), 1e-12, up_to_phase=True)
+    # a trailing phase block exp(i.chi): invisible up to a phase, seen otherwise
+    rng = np.random.default_rng(67)
+    for chi in (0.3, -1.1, math.pi, 2.5, 7.0):
+        c = tuple(
+            (rx, rz)[rng.integers(2)](*((0, 1), (0, 2), (1, 2))[rng.integers(3)], rng.uniform(-4.0, 4.0))
+            for _ in range(6)
+        )
+        phased = c + tuple(_phase_block(chi))
+        assert equivalent(phased, c, 1e-12, up_to_phase=True)
+        assert not equivalent(phased, c, 1e-12, up_to_phase=False)
+    # diag(1, w, w^2) with w = exp(2 pi i / 3) has zero trace overlap with 1
+    omega = (rz(0, 1, 2.0 * math.pi / 3.0), rz(1, 2, 4.0 * math.pi / 3.0))
+    assert abs(np.trace(circuit_unitary(omega))) < 1e-15
+    assert not equivalent(omega, Circuit(), 0.5, up_to_phase=True)
+
+
+def test_a_circuit_is_any_iterable_of_gates():
+    # each function walks its circuit once, so a one-shot iterator or a list
+    # reads as the tuple does
+    c = (rx(0, 1, 0.5), rx(1, 2, 0.3), rx(0, 1, -1.2))
+    for f in (transpile_ion, transpile_transmon, format_circuit, stats, lambda c: miscalibrate(c, 0.1)):
+        assert f(iter(c)) == f(list(c)) == f(c)
+    assert np.array_equal(circuit_unitary(iter(c)), circuit_unitary(c))
+    assert equivalent(iter(c), list(c))
 
 
 def test_equivalent_reflexive_and_validation():

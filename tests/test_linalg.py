@@ -1,5 +1,5 @@
-"""Dense 2x2/3x3 algebra: products, unitarity, closed-form SVD, phase-blind
-distance, and the Taylor matrix exponential used as an independent oracle."""
+"""Dense 2x2/3x3 algebra: products, unitarity, closed-form SVD, and the
+Taylor matrix exponential used as an independent oracle."""
 
 import math
 
@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 from conftest import (
     I2,
     I3,
+    SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     brute_singular_values,
     complex_matrices,
-    finite_floats,
     ket,
     series_evolution,
 )
 from ptqsim.linalg import (
-    SIGMA_X,
     dag,
-    dist_up_to_global_phase,
     expm_taylor,
     is_unitary,
     populations,
@@ -159,33 +157,6 @@ def test_svd2_scale_covariance(m, k):
     assert abs(plus - brute[0]) <= 1e-12 * brute[0]
     # eigvalsh noise ~eps.|G| is sqrt-amplified near zero, so compare squares
     assert abs(minus**2 - brute[1] ** 2) <= 1e-12 * brute[0] ** 2
-
-
-def test_dist_examples():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert dist_up_to_global_phase(m, m) == pytest.approx(0.0, abs=1e-15)
-    z = np.exp(1j * math.pi / 3)
-    assert dist_up_to_global_phase(m, z * m) < 1e-12
-    assert dist_up_to_global_phase(I3, np.diag([1, 1, -1]).astype(complex)) == (
-        pytest.approx(2.0, abs=1e-12)
-    )
-
-
-@given(complex_matrices(3), finite_floats(-math.pi, math.pi))
-@settings(deadline=None)
-def test_dist_symmetric_and_phase_blind(m, alpha):
-    z = complex(math.cos(alpha), math.sin(alpha))
-    assert dist_up_to_global_phase(m, z * m) < 1e-12
-    other = np.roll(m, 1, axis=0)
-    d1 = dist_up_to_global_phase(m, other)
-    d2 = dist_up_to_global_phase(other, m)
-    assert abs(d1 - d2) < 1e-12
-
-
-def test_dist_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        dist_up_to_global_phase(I3, I2)
 
 
 def test_expm_taylor_matches_scipy():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     I2,
+    SIGMA_X,
     SIGMA_Z,
     finite_floats,
     mp_evolution,
@@ -22,24 +23,21 @@ from conftest import (
     series_evolution,
 )
 from ptqsim import dilation, model
-from ptqsim.linalg import SIGMA_X, expm_taylor, populations, svd2
+from ptqsim.linalg import expm_taylor, populations, svd2
 from ptqsim.model import (
     Angles,
     LambdaTooSmall,
     PTParams,
     angles,
-    eigenvalues,
     evolution,
     hamiltonian,
     kernel,
     postselected_population,
-    pt_symmetry_check,
     qutrit_populations,
     qutrit_populations_array,
     rescaled_evolution,
     return_probability,
     singular_values,
-    success_probability,
 )
 
 # (kappa + r)^2 / ((kappa + r)^2 + 1) at r = 1.2, the broken-phase limit of
@@ -103,41 +101,19 @@ def test_hamiltonian_examples():
         hamiltonian(float("inf"))
 
 
-def test_pt_symmetry_examples():
-    assert pt_symmetry_check(hamiltonian(0.7))
-    assert not pt_symmetry_check(SIGMA_Z)
-    assert not pt_symmetry_check(1j * I2)
-    with pytest.raises(ValueError):
-        pt_symmetry_check(SIGMA_Z, tol=-1.0)
-
-
 @given(finite_floats(0.0, 3.0))
 def test_pt_symmetry_holds_for_all_r(r):
-    assert pt_symmetry_check(hamiltonian(r))
-
-
-def test_eigenvalue_examples():
-    lo, hi = eigenvalues(0.6)
-    assert lo == pytest.approx(0.8, abs=1e-14) and hi == pytest.approx(-0.8, abs=1e-14)
-    assert eigenvalues(1.0) == (0.0, 0.0)
-    lo, hi = eigenvalues(1.2)
-    # frozen from numpy.linalg.eigvals on hamiltonian(1.2)
-    assert abs(lo - 0.6633249580710798j) < 1e-12
-    assert abs(hi + 0.6633249580710798j) < 1e-12
-    oracle = sorted(np.linalg.eigvals(hamiltonian(1.2)), key=lambda z: z.imag)
-    assert abs(hi - oracle[0]) < 1e-12
-    assert abs(lo - oracle[1]) < 1e-12
-    with pytest.raises(ValueError):
-        eigenvalues(-0.5)
+    h = hamiltonian(r)
+    assert np.max(np.abs(SIGMA_X @ h.conj() @ SIGMA_X - h)) <= 1e-10
 
 
 @pytest.mark.parametrize("r", [1.0 - 1e-12, 1e200])
 def test_eigenvalues_match_mpmath(r):
+    # H has eigenvalues +-h below r = 1 and +-i.h above: h = sqrt(|1 - r^2|) is
+    # the root `kernel` reads
     with mpmath.workdps(60):
-        h = complex(mpmath.sqrt(mpmath.mpc(1 - mpmath.mpf(r) ** 2)))
-    lo, hi = eigenvalues(r)
-    assert abs(lo - h) <= 4e-16 * abs(h)
-    assert hi == -lo
+        h = float(mpmath.sqrt(abs(1 - mpmath.mpf(r) ** 2)))
+    assert abs(model._root(r) - h) <= 4e-16 * h
 
 
 def test_kernel_hermitian_limit():
@@ -317,31 +293,6 @@ def test_postselected_population_broken_asymptote():
     assert abs(postselected_population(PTParams(r, 20.0)) - BROKEN_ASYMPTOTE) < 1e-3
 
 
-def test_success_probability_examples():
-    rng = np.random.default_rng(31)
-    for t in (0.2, 1.5):
-        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi = psi / np.linalg.norm(psi)
-        assert success_probability(PTParams(0.0, t), psi) == pytest.approx(
-            1.0, abs=1e-12
-        )
-    # right singular vector of sigma_plus saturates the bound
-    p = PTParams(0.8, 2.0)
-    v_plus = svd2(evolution(p)).right[:, 0]
-    assert success_probability(p, v_plus) == pytest.approx(1.0, abs=1e-10)
-    # 5 / (3 + 2 sqrt(2)), frozen from the exceptional-point entries
-    assert success_probability(PTParams(1.0, 1.0), np.array([1.0, 0.0])) == (
-        pytest.approx(0.8578643762690495, abs=1e-12)
-    )
-
-
-def test_success_probability_validation():
-    with pytest.raises(ValueError):
-        success_probability(PTParams(0.5, 1.0), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        success_probability(PTParams(0.5, 1.0), np.array([1.0, 0.0, 0.0]))
-
-
 def test_rescaled_evolution_examples():
     p = PTParams(0.0, 1.0)
     assert np.array_equal(rescaled_evolution(p, 1.0), evolution(p))
@@ -485,7 +436,6 @@ def test_one_kernel_evaluation_per_call(monkeypatch):
 
     monkeypatch.setattr(model, "kernel", counted)
     monkeypatch.setattr(dilation, "kernel", counted)
-    psi = np.array([1.0, 0.0])
     for p in (PTParams(0.5, 1.0), PTParams(1.5, 1.0)):
         entries = {
             "kernel": lambda: model.kernel(p),
@@ -495,7 +445,6 @@ def test_one_kernel_evaluation_per_call(monkeypatch):
             "return_probability": lambda: return_probability(p),
             "qutrit_populations": lambda: qutrit_populations(p),
             "postselected_population": lambda: postselected_population(p),
-            "success_probability": lambda: success_probability(p, psi),
             "rescaled_evolution": lambda: rescaled_evolution(p, 100.0),
             "qutrit_circuit": lambda: dilation.qutrit_circuit(p),
             "hamiltonian_shift_equivalence": lambda: (
