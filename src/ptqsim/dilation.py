@@ -8,12 +8,13 @@ contraction to an (n+m) x (n+m) unitary, read from one SVD.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import Circuit, circuit_unitary, rx
-from .linalg import N, _finite, _integer, _real, expm_taylor, is_unitary
+from .linalg import N, _finite, _instance, _integer, _real, expm_taylor, is_unitary
 from .model import PTParams, _angles, _postselected, hamiltonian, kernel
 
 SIZE_CAP = 16
@@ -49,7 +50,7 @@ def qutrit_circuit(p: PTParams) -> Circuit:
     spinor factors cancel and the block stays exact.
     """
     k = kernel(p)
-    ang = _angles(p.r, k)
+    ang = _angles(k, p.r)
     flip = 0.0 if p.r * k.gs >= 0.0 else math.pi
     return (rx(0, 1, ang.phi - flip), rx(1, 2, ang.theta), rx(0, 1, ang.phi + flip))
 
@@ -61,7 +62,7 @@ def qutrit_unitary(p: PTParams) -> np.ndarray:
 def embed_check(u: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-10) -> bool:
     """True iff u is unitary and its top-left block equals v/lam, within tol."""
     lam = _real("lam", lam)
-    if not (tol > 0 and lam > 0):
+    if not (_instance("tol", tol, numbers.Real) > 0 and lam > 0):
         raise ValueError("tol and lam must be positive")
     u, v = _finite(u, "u", (N, N)), _finite(v, "v", (N, N))
     n = v.shape[0]
@@ -152,4 +153,4 @@ def hamiltonian_shift_equivalence(p: PTParams, mu: float) -> float:
             f"at mu.t = {mu * p.t:.6g}"
         )
     num, other = (column / largest) ** 2
-    return abs(num / (num + other) - _postselected(p.r, k))
+    return abs(num / (num + other) - _postselected(k, p.r))

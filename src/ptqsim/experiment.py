@@ -18,8 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .dilation import qutrit_circuit
-from .gates import Circuit, Gate, GateKind, _gates, _not_gates, circuit_unitary, transpile_ion
-from .linalg import _finite, _integer, _real, _shown, populations
+from .gates import Circuit, Gate, GateKind, _gates, circuit_unitary, transpile_ion
+from .linalg import _finite, _instance, _integer, _real, _shown, populations
 from .model import PTParams, qutrit_populations_array
 
 DEFAULT_ION_EPSILON = (0.02, -0.015, 0.01, -0.02, 0.005)
@@ -47,6 +47,7 @@ class ConfusionMatrix:
     label: str = "custom"
 
     def __post_init__(self) -> None:
+        _instance("label", self.label, str)
         m = _finite(self.entries, "confusion matrix", (3, 3), float)
         if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
             raise ValueError("confusion matrix entries must lie in [0, 1]")
@@ -76,10 +77,9 @@ def synthetic_confusion(diagonal: float, label: str = "synthetic") -> ConfusionM
 def load_confusion(text: str, label: str = "file") -> ConfusionMatrix:
     """Nine whitespace-separated reals, row-major; columns re-normalized when
     within 1e-6 of stochastic, rejected otherwise."""
-    if not isinstance(text, str):
-        raise ValueError(f"text must be a str, found {_shown(text)}")
+    words = _instance("text", text, str).split()
     try:
-        values = [float(x) for x in text.split()]
+        values = [float(x) for x in words]
     except ValueError as exc:
         raise ValueError(f"confusion file: {exc}") from None
     if len(values) != 9:
@@ -118,8 +118,7 @@ class BackendConfig:
     exact: bool = False  # report exact probabilities instead of sampled ratios
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, BackendKind):
-            raise ValueError(f"kind must be a BackendKind, got {_shown(self.kind)}")
+        _instance("kind", self.kind, BackendKind)
         # numpy integers are stored as ints, which exact-mode arithmetic needs
         object.__setattr__(self, "shots", _check_shots("shots", self.shots))
         object.__setattr__(self, "ion_count", _integer("ion_count", self.ion_count))
@@ -132,12 +131,10 @@ class BackendConfig:
         if not all(abs(e) < 0.5 for e in self.epsilon):
             raise ValueError("per-ion over-rotation must satisfy |epsilon| < 0.5")
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
-        if not isinstance(self.exact, (bool, np.bool_)):
-            raise ValueError(f"exact must be a bool, got {_shown(self.exact)}")
+        _instance("exact", self.exact, (bool, np.bool_))
         if self.confusion is None:
             object.__setattr__(self, "confusion", identity_confusion())
-        elif not isinstance(self.confusion, ConfusionMatrix):
-            raise ValueError(f"confusion must be a ConfusionMatrix or None, got {_shown(self.confusion)}")
+        _instance("confusion", self.confusion, ConfusionMatrix)
 
 
 def default_backend(kind: BackendKind, seed: int = 0) -> BackendConfig:
@@ -159,8 +156,6 @@ def miscalibrate(c: Circuit, eps: float) -> Circuit:
         raise ValueError("|eps| must be below 0.5")
     out = []
     for g in _gates(c):
-        if not isinstance(g, Gate):
-            raise _not_gates(g)
         if g.kind is not GateKind.RZ:
             g = Gate(g.kind, g.subspace, g.angles[:-1] + (g.angles[-1] * (1.0 + eps),))
         out.append(g)
@@ -189,7 +184,8 @@ def _probabilities(
 def _ion_column(backend: BackendConfig, ion_index: int) -> np.ndarray:
     """[ion_index], which on the ion backend must name one of its ions."""
     ion_index = _integer("ion_index", ion_index)
-    if backend.kind is BackendKind.ION and not 0 <= ion_index < backend.ion_count:
+    on_ion = _instance("backend", backend, BackendConfig).kind is BackendKind.ION
+    if on_ion and not 0 <= ion_index < backend.ion_count:
         raise ValueError(f"ion_index {_shown(ion_index)} outside 0..{_shown(backend.ion_count - 1)}")
     return np.array([ion_index])
 
@@ -203,9 +199,9 @@ def exact_probabilities(
     native pulses. Theory and transmon read the closed-form populations, as
     transmon pulses reproduce the qutrit unitary exactly. Every backend sees
     them through its readout confusion, the identity for theory by default."""
-    return _probabilities(
-        backend, np.array([p.r], float), np.array([p.t], float), _ion_column(backend, ion_index)
-    )[0]
+    r, t = _instance("p", p, PTParams).r, p.t
+    ion = _ion_column(backend, ion_index)
+    return _probabilities(backend, np.array([r], float), np.array([t], float), ion)[0]
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -477,7 +473,7 @@ def run_point(
         raise ValueError(f"grid_key entries must lie in 0..2**32 - 1, got {_shown(grid_key)}")
     return _emulate(
         backend,
-        np.array([p.r], float),
+        np.array([_instance("p", p, PTParams).r], float),
         np.array([p.t], float),
         np.array([i_r]),
         np.array([i_t]),
@@ -527,11 +523,12 @@ def sweep(grid: SweepGrid, backend: BackendConfig) -> SweepResult:
     """Inclusive uniform grid in r-major order; the ion assignment (one ion
     per t column) and the per-point random stream depend only on grid
     indices."""
+    _instance("grid", grid, SweepGrid)
     # grid indices stay below MAX_GRID_POINTS, so 32 bits hold them
     i_r = np.repeat(np.arange(grid.r_steps, dtype=np.uint32), grid.t_steps)
     i_t = np.tile(np.arange(grid.t_steps, dtype=np.uint32), grid.r_steps)
     ion = None
-    if backend.kind is BackendKind.ION:
+    if _instance("backend", backend, BackendConfig).kind is BackendKind.ION:
         # in Python ints, as ion_count has no upper bound
         ion = np.tile([i % backend.ion_count for i in range(grid.t_steps)], grid.r_steps)
     return _emulate(backend, grid.r_values()[i_r], grid.t_values()[i_t], i_r, i_t, ion)
@@ -543,7 +540,7 @@ def estimate_confusion(
     """Prepare each basis state, read it out through the backend's true
     matrix, and column-normalize the empirical counts."""
     _check_shots("preparations_per_state", preparations_per_state)
-    true = backend.confusion
+    true = _instance("backend", backend, BackendConfig).confusion
     # row j reads out basis state j, from the stream keyed by (seed, 1, j)
     ids = derive_seed(backend.seed, 1, np.arange(3))
     counts = _draw(true.entries.T, preparations_per_state, _id_words(ids))

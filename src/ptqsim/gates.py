@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _real, _shown, dag
+from .linalg import _instance, _real, _shown, dag
 
 _HALF_PI = math.pi / 2.0
 _VALID_SUBSPACES = ((0, 1), (0, 2), (1, 2))
@@ -45,12 +46,8 @@ class Gate:
         if not isinstance(self.subspace, tuple) or self.subspace not in _VALID_SUBSPACES:
             raise ValueError(f"bad subspace {_shown(self.subspace)}")
         object.__setattr__(self, "subspace", _VALID_SUBSPACES[_VALID_SUBSPACES.index(self.subspace)])
-        if not isinstance(self.kind, GateKind):
-            raise ValueError(f"kind must be a GateKind, got {_shown(self.kind)}")
-        if not isinstance(self.angles, tuple):
-            raise ValueError(f"angles must be a tuple, got {_shown(self.angles)}")
-        expected = 2 if self.kind is GateKind.RION else 1
-        if len(self.angles) != expected:
+        expected = 2 if _instance("kind", self.kind, GateKind) is GateKind.RION else 1
+        if len(_instance("angles", self.angles, tuple)) != expected:
             raise ValueError(
                 f"{self.kind.value} takes {expected} angle(s), got {len(self.angles)}"
             )
@@ -73,25 +70,23 @@ def rion(i: int, j: int, phi: float, theta: float) -> Gate:
 Circuit = tuple[Gate, ...]
 
 
-def _not_gates(found) -> ValueError:
-    """A circuit is an iterable of `Gate`s. This refuses a circuit argument c that
-    is not iterable (`_gates`), or an entry found in c that is no Gate."""
-    return ValueError(f"c must be an iterable of Gates, found {_shown(found)}")
-
-
 def _gates(c: Circuit):
+    """c's entries, each checked to be a Gate as it is yielded: a circuit
+    argument c is an iterable of Gates."""
     try:
-        return iter(c)
+        entries = iter(c)
     except TypeError:
-        raise _not_gates(c) from None
+        raise ValueError(f"c must be an iterable of Gates, found {_shown(c)}") from None
+    for g in entries:
+        if not isinstance(g, Gate):
+            raise ValueError(f"c must be an iterable of Gates, found {_shown(g)}")
+        yield g
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
     """Exact 3x3 matrix; the level outside the subspace is untouched."""
-    if not isinstance(g, Gate):
-        raise ValueError(f"g must be a Gate, found {_shown(g)}")
     m = np.eye(3, dtype=complex)
-    i, j = g.subspace
+    i, j = _instance("g", g, Gate).subspace
     if g.kind is GateKind.RZ:
         m[j, j] = cmath.exp(1j * g.angles[0])
         return m
@@ -108,8 +103,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of the gate matrices (last-applied gate leftmost)."""
     u = np.eye(3, dtype=complex)
     for g in _gates(c):
-        if not isinstance(g, Gate):
-            raise _not_gates(g)
         u = gate_matrix(g) @ u
     return u
 
@@ -122,11 +115,11 @@ class GateSet:
 
 
 def _ion_admits(g: Gate) -> bool:
-    return g.kind in (GateKind.RION, GateKind.RZ) and g.subspace in ((0, 1), (0, 2))
+    return _instance("g", g, Gate).kind in (GateKind.RION, GateKind.RZ) and g.subspace in ((0, 1), (0, 2))
 
 
 def _transmon_admits(g: Gate) -> bool:
-    if g.subspace not in ((0, 1), (1, 2)):
+    if _instance("g", g, Gate).subspace not in ((0, 1), (1, 2)):
         return False
     if g.kind is GateKind.RX:
         return g.angles[0] == _HALF_PI
@@ -138,8 +131,6 @@ TRANSMON = GateSet(_transmon_admits)
 
 
 def _rx_angle(g: Gate) -> float:
-    if not isinstance(g, Gate):
-        raise _not_gates(g)
     if g.kind is not GateKind.RX or g.subspace not in ((0, 1), (1, 2)):
         raise UnsupportedGate(f"cannot transpile {g}")
     return g.angles[0]
@@ -261,7 +252,7 @@ def transpile_transmon(c: Circuit) -> Circuit:
 def equivalent(
     c1: Circuit, c2: Circuit, tol: float = 1e-10, up_to_phase: bool = False
 ) -> bool:
-    if not tol > 0:
+    if not _instance("tol", tol, numbers.Real) > 0:
         raise ValueError("tol must be positive")
     u1 = circuit_unitary(c1)
     u2 = circuit_unitary(c2)
@@ -281,8 +272,6 @@ def stats(c: Circuit) -> CircuitStats:
     """RZ is zero-duration phase bookkeeping, every other gate a pulse."""
     counts = [0, 0]  # pulses, then virtual phases
     for g in _gates(c):
-        if not isinstance(g, Gate):
-            raise _not_gates(g)
         counts[g.kind is GateKind.RZ] += 1
     return CircuitStats(*counts)
 
@@ -291,8 +280,6 @@ def format_circuit(c: Circuit) -> str:
     """One gate per line: KIND i j angle [angle]; %.17g round-trips doubles."""
     lines = []
     for g in _gates(c):
-        if not isinstance(g, Gate):
-            raise _not_gates(g)
         parts = [g.kind.value, str(g.subspace[0]), str(g.subspace[1])]
         parts.extend(f"{a:.17g}" for a in g.angles)
         lines.append(" ".join(parts))

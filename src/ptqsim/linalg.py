@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,14 @@ def _shown(value) -> str:
         if isinstance(value, tuple):
             return f"({', '.join(map(_shown, value))})"
         return f"<int of {value.bit_length()} bits>" if isinstance(value, int) else f"<{type(value).__name__}>"
+
+
+def _instance(name: str, value, cls):
+    """value if it is a cls, else a ValueError naming cls, or a tuple's first type."""
+    if isinstance(value, cls):
+        return value
+    shown = (cls[0] if isinstance(cls, tuple) else cls).__name__
+    raise ValueError(f"{name} must be a {shown}, got {_shown(value)}")
 
 
 def _integer(name: str, value) -> int:
@@ -44,7 +53,7 @@ def _finite(m, name: str, shape: tuple[int, ...] | None = None, dtype=complex) -
     """m as an array of dtype holding no NaN or infinity, of shape if given:
     N there is any positive length, the same wherever it appears."""
     m = np.asarray(m, dtype=dtype)
-    n = dict(zip(shape or (), m.shape)).get(N)
+    n = shape and dict(zip(shape, m.shape)).get(N)
     if shape is not None and (m.size == 0 or m.shape != tuple(n if s == N else s for s in shape)):
         text = ", ".join("n" if s == N else str(s) for s in shape)
         raise ValueError(f"{name} must have shape ({text}), got {m.shape}")
@@ -60,7 +69,7 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff the max-abs entry of (m^dag m - 1) is at most tol."""
-    if not tol > 0:
+    if not _instance("tol", tol, numbers.Real) > 0:
         raise ValueError("tol must be positive")
     m = _finite(m, "m", (N, N))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -73,7 +82,7 @@ def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
 def populations(state: np.ndarray) -> np.ndarray:
     """|amplitude_i|^2 per component; sums to the squared norm."""
     s = _finite(state, "state")
-    return (s.real * s.real + s.imag * s.imag).astype(float)
+    return s.real * s.real + s.imag * s.imag
 
 
 class Svd2(NamedTuple):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _real
+from .linalg import _instance, _real
 
 
 class LambdaTooSmall(ValueError):
@@ -105,7 +105,7 @@ def kernel(p: PTParams) -> Kernel:
     h^2 = (1 - r)(1 + r) has no cancellation, so the trig and hyperbolic forms
     hold right up to h = 0, where (c, s) = (1, t). Past r = 1, g = e^{-kappa t}
     makes g.cosh and g.sinh (1 + g^2)/2 and -expm1(-2 kappa t)/(2 kappa)."""
-    r, t = p.r, p.t
+    r, t = _instance("p", p, PTParams).r, p.t
     h = _root(r)
     if r < 1.0:
         g, log_g, c, s = 1.0, 0.0, math.cos(h * t), math.sin(h * t) / h
@@ -122,7 +122,7 @@ def kernel(p: PTParams) -> Kernel:
     return Kernel(g, log_g, c, s, math.sqrt(g * g + rs * rs))
 
 
-def _evolution(r: float, k: Kernel) -> np.ndarray:
+def _evolution(k: Kernel, r: float) -> np.ndarray:
     """V from the scaled kernel k.
 
     Past r = 2, c - r.s cancels as r grows; with kappa - r = -1/(kappa + r),
@@ -147,10 +147,10 @@ def _evolution(r: float, k: Kernel) -> np.ndarray:
 
 def evolution(p: PTParams) -> np.ndarray:
     """c.1 - i.s.H: the time-evolution operator in closed form."""
-    return _evolution(p.r, kernel(p))
+    return _evolution(kernel(p), p.r)
 
 
-def _singular_pair(r: float, k: Kernel) -> SingularPair:
+def _singular_pair(k: Kernel, r: float) -> SingularPair:
     scaled = k.ga + abs(r * k.gs)
     sigma_plus, sigma_minus = _unscale(scaled, k.g, k.log_g), k.g / scaled
     return SingularPair(sigma_plus, sigma_minus)
@@ -163,19 +163,19 @@ def singular_values(p: PTParams) -> SingularPair:
     identically and the direct difference cancels catastrophically when
     sigma_plus is large; sigma_plus is inf once it overflows.
     """
-    return _singular_pair(p.r, kernel(p))
+    return _singular_pair(kernel(p), p.r)
 
 
-def _angles(r: float, k: Kernel) -> Angles:
+def _angles(k: Kernel, r: float) -> Angles:
     phi = math.atan2(k.gs, k.gc)
-    sv = _singular_pair(r, k)
+    sv = _singular_pair(k, r)
     theta = -2.0 * math.acos(min(max(sv.sigma_minus / sv.sigma_plus, 0.0), 1.0))
     return Angles(phi=phi, theta=theta)
 
 
 def angles(p: PTParams) -> Angles:
     """phi is the unique branch with a.cos(phi) = c and a.sin(phi) = s."""
-    return _angles(p.r, kernel(p))
+    return _angles(kernel(p), p.r)
 
 
 def _weights(r, gc, gs, ga) -> tuple:
@@ -241,24 +241,24 @@ def return_probability(p: PTParams) -> float:
     return float(qutrit_populations(p)[0])
 
 
-def _postselected(r: float, k: Kernel) -> float:
+def _postselected(k: Kernel, r: float) -> float:
     n0, n1, _ = _weights(r, k.gc, k.gs, k.ga)
     return float(n0 / (n0 + n1))
 
 
 def postselected_population(p: PTParams) -> float:
     """|V00|^2 / (|V00|^2 + |V10|^2): conditioning removes any rescaling."""
-    return _postselected(p.r, kernel(p))
+    return _postselected(kernel(p), p.r)
 
 
 def rescaled_evolution(p: PTParams, lam: float) -> np.ndarray:
     """V(t)/lam; only defined when the result is a contraction."""
     lam = _real("lam", lam)
     k = kernel(p)
-    sigma_plus = _singular_pair(p.r, k).sigma_plus
+    sigma_plus = _singular_pair(k, p.r).sigma_plus
     if lam < sigma_plus - 1e-12:
         raise LambdaTooSmall(
             f"lambda = {lam:.12g} is below the largest singular value "
             f"{sigma_plus:.12g}"
         )
-    return _evolution(p.r, k) / lam
+    return _evolution(k, p.r) / lam

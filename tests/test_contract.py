@@ -2,13 +2,16 @@
 domain (NaN, an infinity, an empty or wrong-shape array, a float where an
 integer goes, 2**64, or 2**1024, a string, None or 1j where a real goes,
 None, a list of ints or a bare Gate where a circuit goes, None where a gate
-or text goes), a call returns a finite result or raises a ValueError
-subclass, and it never warns. An argument holding a NaN has no answer, nor
-has an array of a shape the function does not take, nor a real argument no
-finite float stands for, nor a circuit that is not an iterable of Gates, so
-each must raise. The model, dilation and experiment names also run on every
-(r, t) pair of EDGES, where populations must lie in [0, 1] and sum to 1
-within 4 ulp."""
+or text goes, None or another record where a record (`PTParams`,
+`SweepGrid`, `BackendConfig`, `Gate`) goes, a string, None or 1j where a
+tolerance goes, and None or an int where a label goes), a call returns a
+finite result or raises a ValueError subclass, and it never warns. An
+argument holding a NaN has no answer, nor has an array of a shape the
+function does not take, nor a real argument no finite float stands for, nor
+a circuit that is not an iterable of Gates, nor an argument of the wrong
+type, so each must raise. The model, dilation and experiment names also run
+on every (r, t) pair of EDGES, where populations must lie in [0, 1] and sum
+to 1 within 4 ulp."""
 
 import dataclasses
 import inspect
@@ -72,6 +75,7 @@ from ptqsim import (
     transpile_ion,
     transpile_transmon,
 )
+from ptqsim.gates import ION, TRANSMON
 
 NAN, INF, BIG = math.nan, math.inf, 2**64
 MAX = sys.float_info.max
@@ -185,7 +189,7 @@ ROWS = {
         *over(lambda tol: is_unitary(np.eye(2), tol), (*BAD_REALS, 0.0)),
         # m^dag m past the float range
         *over(is_unitary, (1e300 * np.eye(3), np.full((3, 3), MAX * (1 + 1j)))),
-        *calls(lambda: is_unitary(1e300 * np.eye(3), INF)),
+        *calls(lambda: is_unitary(1e300 * np.eye(3), INF), lambda: is_unitary(np.eye(3), 2**1024)),
     ),
     "populations": over(populations, ([NAN, 0.0], [INF, 0.0], [1.0, -INF * 1j], [], [[1.0, 0.0]])),
     "svd2": over(svd2, BAD_MATRICES, fixed(2, 2)),
@@ -222,6 +226,7 @@ ROWS = {
             lambda: embed_check(np.eye(3), np.eye(2), 5e-324),
             lambda: embed_check(np.eye(3), 1e300 * np.eye(2), 1e-300),
             lambda: embed_check(np.eye(3), MAX * (1 + 1j) * np.eye(2), 5e-324, INF),
+            lambda: embed_check(np.eye(3), np.eye(2), 1.0, 2**1024),
         ),
         *over_pairs(lambda p: embed_check(qutrit_unitary(p), evolution(p), singular_values(p).sigma_plus)),
     ),
@@ -268,6 +273,7 @@ ROWS = {
         *over(lambda tol: equivalent(CIRCUIT, CIRCUIT, tol), (*BAD_REALS, 0.0)),
         *over(lambda tol: equivalent(CIRCUIT, CIRCUIT, tol, up_to_phase=True), BAD_REALS),
         *calls(lambda: equivalent(EXTREME, (), up_to_phase=True)),
+        *calls(lambda: equivalent((), (), INF), lambda: equivalent(CIRCUIT, (), 2**1024)),
         *not_circuits(lambda c: equivalent(c, ())),
     ),
     "format_circuit": calls(lambda: format_circuit(EXTREME), lambda: format_circuit(()))
@@ -492,8 +498,8 @@ def test_a_refusal_names_its_argument_for_an_int_too_long_to_print(case):
     assert re.match(rf"(bad )?{argument}\b", message) and len(message) < 200, message
 
 
-# each call refuses a circuit, gate, subspace or text of the wrong type with a
-# message naming that argument
+# each call refuses a circuit, gate, subspace, text, record, tolerance or label
+# of the wrong type with a message naming that argument
 WRONG_TYPE_REFUSALS = {
     "parse_circuit None": ("text", lambda: parse_circuit(None)),
     "load_confusion None": ("text", lambda: load_confusion(None)),
@@ -512,6 +518,42 @@ WRONG_TYPE_REFUSALS = {
     "gate_matrix 1": ("g", lambda: gate_matrix(1)),
     "Gate array (0, 1)": ("subspace", lambda: Gate(GateKind.RX, np.array([0, 1]), (0.5,))),
     "Gate array (0, 2)": ("subspace", lambda: Gate(GateKind.RX, np.array([0, 2]), (0.5,))),
+    # records
+    "kernel None": ("p", lambda: kernel(None)),
+    "kernel pair": ("p", lambda: kernel((0.5, 1.0))),
+    "evolution None": ("p", lambda: evolution(None)),
+    "singular_values None": ("p", lambda: singular_values(None)),
+    "angles None": ("p", lambda: angles(None)),
+    "postselected_population None": ("p", lambda: postselected_population(None)),
+    "qutrit_populations SweepGrid": ("p", lambda: qutrit_populations(SweepGrid())),
+    "return_probability None": ("p", lambda: return_probability(None)),
+    "rescaled_evolution None": ("p", lambda: rescaled_evolution(None, 1.0)),
+    "qutrit_circuit None": ("p", lambda: qutrit_circuit(None)),
+    "qutrit_unitary None": ("p", lambda: qutrit_unitary(None)),
+    "hamiltonian_shift_equivalence None": ("p", lambda: hamiltonian_shift_equivalence(None, 0.0)),
+    "run_point p None": ("p", lambda: run_point(None, BACKENDS[0])),
+    "run_point backend None": ("backend", lambda: run_point(PTParams(0.5, 1.0), None)),
+    "run_point backend kind": ("backend", lambda: run_point(PTParams(0.5, 1.0), BackendKind.ION)),
+    "exact_probabilities p None": ("p", lambda: exact_probabilities(None, BACKENDS[1])),
+    "exact_probabilities backend None": ("backend", lambda: exact_probabilities(PTParams(0.5, 1.0), None)),
+    "sweep grid None": ("grid", lambda: sweep(None, BACKENDS[0])),
+    "sweep grid backend": ("grid", lambda: sweep(BACKENDS[0], BACKENDS[0])),
+    "sweep backend None": ("backend", lambda: sweep(SweepGrid(), None)),
+    "estimate_confusion None": ("backend", lambda: estimate_confusion(None, 5)),
+    "ION.admits 1": ("g", lambda: ION.admits(1)),
+    "TRANSMON.admits 1": ("g", lambda: TRANSMON.admits(1)),
+    # tolerances: a real, +inf and 2**1024 included, or refused
+    "is_unitary tol str": ("tol", lambda: is_unitary(np.eye(3), "1")),
+    "is_unitary tol None": ("tol", lambda: is_unitary(np.eye(3), None)),
+    "embed_check tol None": ("tol", lambda: embed_check(np.eye(3), np.eye(2), 1.0, tol=None)),
+    "embed_check tol 1j": ("tol", lambda: embed_check(np.eye(3), np.eye(2), 1.0, tol=1j)),
+    "equivalent tol None": ("tol", lambda: equivalent((), (), None)),
+    "equivalent tol 1j": ("tol", lambda: equivalent((), (), 1j)),
+    # labels
+    "ConfusionMatrix label None": ("label", lambda: ConfusionMatrix(np.eye(3), label=None)),
+    "ConfusionMatrix label 5": ("label", lambda: ConfusionMatrix(np.eye(3), label=5)),
+    "synthetic_confusion label None": ("label", lambda: synthetic_confusion(0.9, None)),
+    "load_confusion label 5": ("label", lambda: load_confusion("1 0 0 0 1 0 0 0 1", 5)),
 }
 
 
